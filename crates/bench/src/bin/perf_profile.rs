@@ -2,7 +2,9 @@
 //! tight sequential loop so a sampling profiler (`gprofng collect app`,
 //! `perf record`) sees steady-state simulator cost instead of basket
 //! setup, and reports the construction-vs-event-loop wall split that
-//! whole-basket numbers hide.
+//! whole-basket numbers hide. Each iteration is one sweep in a fresh
+//! `RunArena`, as a figure binary runs it, so construction ages the
+//! allocator once per distinct aging key per sweep.
 //!
 //! Usage: `perf_profile [fig2|fig7|fig8|fig11a] [iterations]`
 //! (defaults: fig2, 10 iterations)
@@ -70,12 +72,13 @@ fn main() {
     let iters: u32 = args.next().and_then(|v| v.parse().ok()).unwrap_or(10);
     let configs = figure(&fig);
 
-    let mut arena = RunArena::new();
     let mut init_ns: u128 = 0;
     let mut loop_ns: u128 = 0;
     let mut events: u64 = 0;
     let mut translations: u64 = 0;
+    let mut aged_reuses: u64 = 0;
     for _ in 0..iters {
+        let mut arena = RunArena::new();
         for cfg in &configs {
             let t = Instant::now();
             let sim = HostSim::new_in(*cfg, &mut arena);
@@ -86,6 +89,7 @@ fn main() {
             events += m.events_processed;
             translations += m.iommu.translations;
         }
+        aged_reuses += arena.aged_reuses();
     }
     let total = init_ns + loop_ns;
     println!(
@@ -101,5 +105,10 @@ fn main() {
         total as f64 / events.max(1) as f64,
         loop_ns as f64 / events.max(1) as f64,
         total as f64 / translations.max(1) as f64,
+    );
+    println!(
+        "   {} of {} constructions restored a kept aged state",
+        aged_reuses,
+        iters as usize * configs.len(),
     );
 }

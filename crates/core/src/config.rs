@@ -19,7 +19,7 @@ use crate::watchdog::WatchdogConfig;
 /// "far from utilized" in the IOMMU-enabled microbenchmarks with 5 cores,
 /// F&S's map/unmap overhead is visible only when something else (ring-size
 /// driven cache misses, app-layer work) pushes a core near saturation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCosts {
     /// Per-packet network-stack processing (protocol, skb bookkeeping).
     pub per_packet_ns: Nanos,
@@ -64,7 +64,7 @@ impl Default for CpuCosts {
 /// [`Topology::single_nic`] (1 NIC x 1 queue, no storage) is the legacy
 /// single-device shape: domain-0 tags are the identity, and runs are
 /// bit-identical to the pre-topology simulator.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     /// NICs sharing the IOMMU (>= 1). Each is one protection domain.
     pub nics: u16,

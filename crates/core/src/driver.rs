@@ -941,6 +941,27 @@ impl DmaDriver {
         costs: CpuCosts,
         fault_cfg: fns_faults::FaultConfig,
     ) -> Result<Self, fns_snap::SnapError> {
+        Self::unsnap_in(r, mode, costs, fault_cfg, None)
+    }
+
+    /// Like [`DmaDriver::unsnap`], reusing a salvage's storage-only parts:
+    /// the scratch pools and the locality trace's allocations, which would
+    /// otherwise regrow during the run. Everything else in the salvage is
+    /// released before decoding, so the two drivers never coexist.
+    pub(crate) fn unsnap_in(
+        r: &mut fns_snap::SnapReader,
+        mode: ProtectionMode,
+        costs: CpuCosts,
+        fault_cfg: fns_faults::FaultConfig,
+        salvage: Option<DriverSalvage>,
+    ) -> Result<Self, fns_snap::SnapError> {
+        let (mut page_pool, mut req_scratch, mut reclaim_scratch, locality) = match salvage {
+            Some(s) => (s.page_pool, s.req_scratch, s.reclaim_scratch, s.locality),
+            None => Default::default(),
+        };
+        req_scratch.clear();
+        reclaim_scratch.clear();
+        page_pool.truncate(POOL_CAP);
         let iommu = Iommu::unsnap(r)?;
         let alloc = CachingAllocator::unsnap(r)?;
         let frames = FrameAllocator::unsnap(r)?;
@@ -996,7 +1017,7 @@ impl DmaDriver {
         for _ in 0..n {
             pending_wipe_reqs.push_back(Self::unsnap_request(r)?);
         }
-        let locality = ReuseDistance::unsnap(r)?;
+        let locality = ReuseDistance::unsnap_in(r, locality)?;
         let locality_cap = r.usize()?;
         let locality_recording = r.bool()?;
         let invalidation_cpu_ns = r.u64()?;
@@ -1046,9 +1067,9 @@ impl DmaDriver {
             pending_wipe_epochs,
             epoch_scratch: Vec::new(),
             coalesce_inv_drain: true,
-            page_pool: Vec::new(),
-            req_scratch: Vec::new(),
-            reclaim_scratch: Vec::new(),
+            page_pool,
+            req_scratch,
+            reclaim_scratch,
             locality,
             locality_cap,
             locality_recording,

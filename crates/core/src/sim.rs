@@ -21,7 +21,8 @@
 
 use std::collections::VecDeque;
 
-use fns_faults::{FaultKind, FaultPlane};
+use fns_faults::{FaultConfig, FaultKind, FaultPlane};
+use fns_iommu::IommuConfig;
 use fns_iova::types::Iova;
 use fns_mem::addr::PhysAddr;
 use fns_net::packet::{rss_queue, FlowId, Packet, PacketKind};
@@ -39,10 +40,11 @@ use fns_sim::time::Nanos;
 use fns_snap::{fnv1a, SnapError, SnapReader, SnapWriter};
 use fns_trace::{ObsHandle, Sample, Sampler, Trace, TraceCategory, TraceData, TraceHandle};
 
-use crate::config::{SimConfig, Workload};
-use crate::driver::{DmaDriver, DriverSalvage};
+use crate::config::{CpuCosts, SimConfig, Topology, Workload};
+use crate::driver::{DmaDriver, DriverSalvage, Sabotage};
 use crate::flow_table::{FlowSet, FlowTable};
 use crate::metrics::RunMetrics;
+use crate::mode::ProtectionMode;
 use crate::resources::SerialResource;
 use crate::watchdog::WatchdogState;
 
@@ -503,6 +505,15 @@ impl Snapshot {
 /// recycled arena is bit-identical to one executed fresh —
 /// `tests/golden_determinism.rs` pins that.
 ///
+/// The arena also keeps *aged states*. Allocator aging and ring churn are
+/// most of a run's construction, and they depend only on the few config
+/// fields in [`AgingKey`]: a figure sweep that varies flows, value sizes
+/// or windows reaches the same post-churn state once per mode. The first
+/// run of a key snapshots the driver and the Rx rings after churn; later
+/// runs with an equal key restore that snapshot instead of aging again.
+/// The restored state is the snapshot plane's exact round trip, so these
+/// runs stay bit-identical to fresh ones too.
+///
 /// # Examples
 ///
 /// ```no_run
@@ -512,9 +523,11 @@ impl Snapshot {
 /// for flows in [5, 10, 20] {
 ///     let mut cfg = SimConfig::paper_default(ProtectionMode::FastAndSafe);
 ///     cfg.flows = flows;
+///     // Ages the allocator on the first run only.
 ///     let m = HostSim::run_in(cfg, &mut arena);
 ///     println!("{flows} flows: {:.1} Gbps", m.rx_gbps());
 /// }
+/// assert_eq!(arena.aged_states(), 1);
 /// ```
 #[derive(Default)]
 pub struct RunArena {
@@ -525,6 +538,7 @@ pub struct RunArena {
     dut_senders: FlowTable<DctcpSender>,
     peer_receivers: FlowTable<FlowReceiver>,
     core_of: FlowTable<usize>,
+    aged: AgedStates,
     last_queue_reallocs: u64,
 }
 
@@ -535,11 +549,133 @@ impl RunArena {
         Self::default()
     }
 
+    /// An arena for exactly one run ([`HostSim::new`]): no later run can
+    /// reuse its aged state, so it keeps none.
+    fn single_run() -> Self {
+        Self {
+            aged: AgedStates::within(0),
+            ..Self::default()
+        }
+    }
+
     /// Number of times the event queue grew its storage during the most
     /// recently harvested run. A warm arena on a steady workload reports
     /// zero — the smoke benchmark asserts exactly that.
     pub fn last_queue_reallocs(&self) -> u64 {
         self.last_queue_reallocs
+    }
+
+    /// Distinct post-churn states the arena currently keeps.
+    pub fn aged_states(&self) -> usize {
+        self.aged.states.len()
+    }
+
+    /// Runs built in this arena that restored a kept post-churn state
+    /// instead of aging the allocator.
+    pub fn aged_reuses(&self) -> u64 {
+        self.aged.reuses
+    }
+}
+
+/// Byte budget for the post-churn states one arena keeps. One state of a
+/// figure-sized config (256-packet rings) is well under 1 MB; the budget
+/// bounds sweeps over much larger rings, where the oldest state goes first.
+const AGED_STATE_BUDGET: usize = 32 << 20;
+
+/// The configuration that construction reads up to the end of allocator
+/// aging and ring churn ([`HostSim::age`]). Two configs with equal keys
+/// reach bit-identical post-churn driver and ring states, whatever their
+/// workload, flow count or windows. Fields are those of the normalized
+/// config `new_in` builds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct AgingKey {
+    mode: ProtectionMode,
+    cores: usize,
+    mtu: u32,
+    ring_packets: u32,
+    pages_per_descriptor: u32,
+    topology: Topology,
+    iommu: IommuConfig,
+    cpu: CpuCosts,
+    deferred_flush_threshold: u32,
+    locality_samples: usize,
+    coalesce_inv_drain: bool,
+    aging_factor: f64,
+    seed: u64,
+}
+
+impl AgingKey {
+    /// The key of `cfg`, or `None` when its post-churn state is not
+    /// shared: without aging there is no churn worth sharing, and an armed
+    /// oracle or seeded bug observes or acts on the init-time mappings
+    /// that a restored state would skip.
+    fn of(cfg: &SimConfig) -> Option<Self> {
+        if cfg.aging_factor <= 0.0 || cfg.audit.enabled || cfg.sabotage != Sabotage::None {
+            return None;
+        }
+        Some(Self {
+            mode: cfg.mode,
+            cores: cfg.cores,
+            mtu: cfg.mtu,
+            ring_packets: cfg.ring_packets,
+            pages_per_descriptor: cfg.pages_per_descriptor,
+            topology: cfg.topology,
+            iommu: cfg.iommu,
+            cpu: cfg.cpu,
+            deferred_flush_threshold: cfg.deferred_flush_threshold,
+            locality_samples: cfg.locality_samples,
+            coalesce_inv_drain: cfg.coalesce_inv_drain,
+            aging_factor: cfg.aging_factor,
+            seed: cfg.seed,
+        })
+    }
+}
+
+/// An arena's post-churn states: snapshot-plane images of the driver and
+/// the Rx rings, oldest first, within a byte budget.
+struct AgedStates {
+    states: Vec<(AgingKey, Vec<u8>)>,
+    bytes: usize,
+    budget: usize,
+    reuses: u64,
+}
+
+impl Default for AgedStates {
+    fn default() -> Self {
+        Self::within(AGED_STATE_BUDGET)
+    }
+}
+
+impl AgedStates {
+    fn within(budget: usize) -> Self {
+        Self {
+            states: Vec::new(),
+            bytes: 0,
+            budget,
+            reuses: 0,
+        }
+    }
+
+    fn get(&mut self, key: &AgingKey) -> Option<&[u8]> {
+        let (_, image) = self.states.iter().find(|(k, _)| k == key)?;
+        self.reuses += 1;
+        Some(image)
+    }
+
+    fn keeps(&self) -> bool {
+        self.budget > 0
+    }
+
+    fn insert(&mut self, key: AgingKey, image: Vec<u8>) {
+        if image.len() > self.budget {
+            return;
+        }
+        while self.bytes + image.len() > self.budget {
+            let (_, oldest) = self.states.remove(0);
+            self.bytes -= oldest.len();
+        }
+        self.bytes += image.len();
+        self.states.push((key, image));
     }
 }
 
@@ -678,12 +814,12 @@ struct Scratch {
 impl HostSim {
     /// Builds a simulation from a configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        Self::new_in(cfg, &mut RunArena::new())
+        Self::new_in(cfg, &mut RunArena::single_run())
     }
 
-    /// Builds a simulation on top of an arena's recycled storage. The
-    /// result is behaviorally identical to [`HostSim::new`] — only heap
-    /// allocations are saved, never state.
+    /// Builds a simulation on top of an arena's recycled storage and aged
+    /// states. The result is behaviorally identical to [`HostSim::new`] —
+    /// only heap allocations and repeated aging are saved, never state.
     pub fn new_in(mut cfg: SimConfig, arena: &mut RunArena) -> Self {
         if cfg.mode.huge_rx() {
             // Strict huge-Rx requires 2 MB (512-page) descriptors so one
@@ -695,16 +831,25 @@ impl HostSim {
         // count is honored, e.g. for harness replays).
         cfg.iommu.domains = cfg.iommu.domains.max(cfg.topology.domains());
         let rng = SimRng::seed(cfg.seed);
-        let mut drv = DmaDriver::with_descriptor_pages_in(
-            cfg.mode,
-            cfg.cores,
-            cfg.iommu,
-            cfg.cpu,
-            cfg.deferred_flush_threshold,
-            cfg.locality_samples,
-            cfg.pages_per_descriptor as u64,
-            arena.driver.take(),
-        );
+        let aging = AgingKey::of(&cfg);
+        let kept = aging.and_then(|key| arena.aged.get(&key));
+        let restored = kept.is_some();
+        let (mut drv, rings) = match kept {
+            Some(image) => Self::restore_aged(image, &cfg, arena.driver.take()),
+            None => {
+                let drv = DmaDriver::with_descriptor_pages_in(
+                    cfg.mode,
+                    cfg.cores,
+                    cfg.iommu,
+                    cfg.cpu,
+                    cfg.deferred_flush_threshold,
+                    cfg.locality_samples,
+                    cfg.pages_per_descriptor as u64,
+                    arena.driver.take(),
+                );
+                (drv, Vec::new())
+            }
+        };
         drv.set_coalesce_inv_drain(cfg.coalesce_inv_drain);
         // Recycle the event queue only when the configured implementation
         // matches; a sweep mixing wheel and heap runs rebuilds on the
@@ -723,7 +868,7 @@ impl HostSim {
             q,
             rng,
             drv,
-            rings: Vec::new(),
+            rings,
             nic_bufs: (0..cfg.topology.nics.max(1))
                 .map(|_| NicBuffer::new(cfg.nic_buffer_bytes))
                 .collect(),
@@ -789,8 +934,14 @@ impl HostSim {
         // Seeded driver bugs arm before init so sabotages in pinned/huge
         // modes (whose mappings happen at init) can trigger. `None` — the
         // default — changes no run by a single bit.
-        if !matches!(sim.cfg.sabotage, crate::driver::Sabotage::None) {
+        if sim.cfg.sabotage != Sabotage::None {
             sim.drv.set_sabotage(sim.cfg.sabotage);
+        }
+        if !restored {
+            sim.age();
+            if let Some(key) = aging.filter(|_| arena.aged.keeps()) {
+                arena.aged.insert(key, sim.aged_image());
+            }
         }
         sim.init();
         // Create the trace recorder only after init: ring-fill and aging
@@ -924,6 +1075,24 @@ impl HostSim {
     }
 
     fn init(&mut self) {
+        self.init_workload();
+        // Storage devices start with their queues full of outstanding IOs,
+        // issue times staggered so device queues do not phase-lock.
+        let topo = self.cfg.topology;
+        for dev in 0..topo.storage_devices {
+            for slot in 0..topo.storage_queue_depth {
+                let at = 1 + (u64::from(dev) * 131 + u64::from(slot) * 211) % 100_000;
+                self.q.push(at, Ev::StorageIssue { dev });
+            }
+        }
+        self.q.push(self.cfg.warmup, Ev::WarmupDone);
+    }
+
+    /// Brings the driver and the Rx rings to the state a long-running host
+    /// is measured in: ages the allocator, fills the rings and churns them.
+    /// Touches nothing but the driver and the rings, so a run whose arena
+    /// keeps this state for its [`AgingKey`] restores it instead.
+    fn age(&mut self) {
         // Age the allocator to long-running steady state before anything
         // else touches it.
         let aged_pages = (self.cfg.working_set_pages() as f64 * self.cfg.aging_factor) as u64;
@@ -958,17 +1127,44 @@ impl HostSim {
         if self.cfg.aging_factor > 0.0 {
             self.churn_rings();
         }
-        self.init_workload();
-        // Storage devices start with their queues full of outstanding IOs,
-        // issue times staggered so device queues do not phase-lock.
-        let topo = self.cfg.topology;
-        for dev in 0..topo.storage_devices {
-            for slot in 0..topo.storage_queue_depth {
-                let at = 1 + (u64::from(dev) * 131 + u64::from(slot) * 211) % 100_000;
-                self.q.push(at, Ev::StorageIssue { dev });
-            }
+    }
+
+    /// The post-churn state [`HostSim::age`] builds, as a snapshot-plane
+    /// image: the driver, then the Rx rings.
+    fn aged_image(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        self.drv.snap(&mut w);
+        w.seq(self.rings.len());
+        for rs in &self.rings {
+            rs.snap(&mut w);
         }
-        self.q.push(self.cfg.warmup, Ev::WarmupDone);
+        let mut image = w.finish();
+        image.shrink_to_fit();
+        image
+    }
+
+    /// The driver and the Rx rings of an [`HostSim::aged_image`]. The
+    /// trace, observer and fault planes install after aging and the oracle
+    /// is never on here (see [`AgingKey::of`]), so the restored driver's
+    /// `Off` handles and disabled fault plane match a freshly aged one.
+    fn restore_aged(
+        image: &[u8],
+        cfg: &SimConfig,
+        salvage: Option<DriverSalvage>,
+    ) -> (DmaDriver, Vec<RingState>) {
+        let restore = || -> Result<_, SnapError> {
+            let mut r = SnapReader::new(image)?;
+            let disabled = FaultConfig::disabled();
+            let drv = DmaDriver::unsnap_in(&mut r, cfg.mode, cfg.cpu, disabled, salvage)?;
+            let n = r.seq()?;
+            let mut rings = Vec::with_capacity(n.min(1 << 10));
+            for _ in 0..n {
+                rings.push(RingState::unsnap(&mut r)?);
+            }
+            r.done()?;
+            Ok((drv, rings))
+        };
+        restore().expect("an arena's own aged image restores")
     }
 
     /// Init-time aging, part 2: cycles every ring several times with
@@ -2946,6 +3142,95 @@ mod tests {
         assert!(sim.napi[0].desc_done.is_empty());
         let pages2 = take_pages(&mut sim, 0, 4096).expect("ring filled");
         assert_ne!(pages[0], pages2[0]);
+    }
+
+    #[test]
+    fn aging_key_covers_the_fields_aging_reads() {
+        type Edit = fn(&mut SimConfig);
+        let key = |edit: Edit| {
+            let mut cfg = SimConfig::paper_default(ProtectionMode::LinuxStrict);
+            edit(&mut cfg);
+            AgingKey::of(&cfg)
+        };
+        let base = key(|_| {});
+        assert!(base.is_some());
+        // The workload, its windows and the planes installed after aging
+        // share one post-churn state.
+        let shared: [Edit; 9] = [
+            |c| c.flows = 40,
+            |c| c.workload = Workload::Churn { conn_bytes: 4096 },
+            |c| c.warmup = 1,
+            |c| c.measure = 1,
+            |c| c.nic_buffer_bytes = 1,
+            |c| c.queue = fns_sim::queue::QueueKind::Heap,
+            |c| c.faults = FaultConfig::uniform(0.1),
+            |c| c.trace = fns_trace::TraceConfig::all(),
+            |c| c.observe = fns_trace::ObserveConfig::full(),
+        ];
+        for edit in shared {
+            assert_eq!(key(edit), base);
+        }
+        let distinct: [Edit; 13] = [
+            |c| c.mode = ProtectionMode::FastAndSafe,
+            |c| c.cores = 4,
+            |c| c.mtu = 9000,
+            |c| c.ring_packets = 128,
+            |c| c.pages_per_descriptor = 1,
+            |c| c.topology.nics = 2,
+            |c| c.iommu.iotlb_entries += 1,
+            |c| c.cpu.map_ns += 1,
+            |c| c.deferred_flush_threshold += 1,
+            |c| c.locality_samples += 1,
+            |c| c.coalesce_inv_drain = false,
+            |c| c.aging_factor = 2.0,
+            |c| c.seed += 1,
+        ];
+        for edit in distinct {
+            assert_ne!(key(edit), base);
+        }
+        // No sharing without churn, or when the oracle or a seeded bug
+        // watches the init-time mappings.
+        let unshared: [Edit; 3] = [
+            |c| c.aging_factor = 0.0,
+            |c| c.audit = fns_oracle::AuditConfig::on(),
+            |c| c.sabotage = Sabotage::SkipReclaimFixup,
+        ];
+        for edit in unshared {
+            assert_eq!(key(edit), None);
+        }
+    }
+
+    #[test]
+    fn a_single_run_keeps_no_aged_state() {
+        let mut cfg = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        cfg.ring_packets = 16;
+        let mut arena = RunArena::single_run();
+        HostSim::new_in(cfg, &mut arena);
+        assert_eq!(arena.aged_states(), 0);
+        let mut arena = RunArena::new();
+        HostSim::new_in(cfg, &mut arena);
+        HostSim::new_in(cfg, &mut arena);
+        assert_eq!((arena.aged_states(), arena.aged_reuses()), (1, 1));
+    }
+
+    #[test]
+    fn aged_states_stay_within_the_byte_budget() {
+        let mut arena = RunArena {
+            aged: AgedStates::within(1),
+            ..RunArena::default()
+        };
+        let mut cfg = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        cfg.ring_packets = 16;
+        HostSim::new_in(cfg, &mut arena);
+        assert_eq!(arena.aged_states(), 0, "an image over budget is not kept");
+        let mut states = AgedStates::within(10);
+        let key = |seed| AgingKey::of(&SimConfig { seed, ..cfg }).unwrap();
+        states.insert(key(1), vec![0; 4]);
+        states.insert(key(2), vec![0; 4]);
+        states.insert(key(3), vec![0; 4]);
+        assert_eq!(states.bytes, 8);
+        assert!(states.get(&key(1)).is_none(), "the oldest state goes first");
+        assert!(states.get(&key(3)).is_some());
     }
 
     #[test]

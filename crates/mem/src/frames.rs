@@ -33,6 +33,10 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// Largest pool a snapshot may declare (16 TB of 4 KB frames); a larger
+/// one is refused as corrupt rather than allocated.
+const MAX_FRAMES: usize = 1 << 32;
+
 /// A 4 KB physical frame allocator over a contiguous physical range.
 ///
 /// Never-allocated frames are represented by a watermark (`next_pfn`), so
@@ -93,7 +97,11 @@ impl FrameAllocator {
     /// the arena-reuse hook for back-to-back simulation runs.
     pub fn reset(&mut self, frames: usize) {
         let words = (frames + 1).div_ceil(64);
-        self.bitmap.clear();
+        // Only frames below the watermark were ever set, so only the words
+        // holding them need zeroing; the words above stay untouched (and,
+        // for a fresh bitmap, never become resident).
+        let dirty = self.dirty_words().min(words);
+        self.bitmap[..dirty].fill(0);
         self.bitmap.resize(words, 0);
         self.recycled.clear();
         self.next_pfn = 1;
@@ -202,15 +210,22 @@ impl FrameAllocator {
         self.total as u64 * PAGE_SIZE
     }
 
+    /// Bitmap words that can hold a set bit: those below the watermark.
+    fn dirty_words(&self) -> usize {
+        (self.next_pfn.div_ceil(64) as usize).min(self.bitmap.len())
+    }
+
     /// Serializes the full allocator state for checkpointing. The recycle
-    /// stack travels verbatim (its LIFO order decides future allocations).
+    /// stack travels verbatim (its LIFO order decides future allocations);
+    /// the bitmap travels only up to the watermark, since every word above
+    /// it is zero.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.seq(self.recycled.len());
         for pa in &self.recycled {
             w.u64(pa.as_u64());
         }
         w.u64(self.next_pfn);
-        w.u64_slice(&self.bitmap);
+        w.u64_slice(&self.bitmap[..self.dirty_words()]);
         w.usize(self.in_use);
         w.usize(self.total);
         w.usize(self.peak_allocated);
@@ -225,12 +240,24 @@ impl FrameAllocator {
         for _ in 0..n {
             recycled.push(PhysAddr::new(r.u64()?));
         }
+        let next_pfn = r.u64()?;
+        let dirty = r.u64_vec()?;
+        let in_use = r.usize()?;
+        let total = r.usize()?;
+        if total > MAX_FRAMES || dirty.len() > (total + 1).div_ceil(64) {
+            return Err(SnapError::BadTag {
+                what: "frame-allocator size",
+                tag: total as u64,
+            });
+        }
+        let mut bitmap = vec![0u64; (total + 1).div_ceil(64)];
+        bitmap[..dirty.len()].copy_from_slice(&dirty);
         Ok(Self {
             recycled,
-            next_pfn: r.u64()?,
-            bitmap: r.u64_vec()?,
-            in_use: r.usize()?,
-            total: r.usize()?,
+            next_pfn,
+            bitmap,
+            in_use,
+            total,
             peak_allocated: r.usize()?,
             alloc_count: r.u64()?,
             free_count: r.u64()?,
@@ -329,6 +356,43 @@ mod tests {
         assert_eq!(fa.in_use(), 1);
         assert_eq!(fa.available(), 3);
         assert_eq!(plane.stats().injected_of(FaultKind::FrameExhaustion), 1);
+    }
+
+    #[test]
+    fn snapshot_carries_only_the_bitmap_below_the_watermark() {
+        let mut fa = FrameAllocator::new(1 << 20);
+        let frames: Vec<PhysAddr> = (0..200).map(|_| fa.alloc().unwrap()).collect();
+        for &f in frames.iter().step_by(3) {
+            fa.free(f).unwrap();
+        }
+        let mut w = SnapWriter::new();
+        fa.snap(&mut w);
+        assert!(w.len() < 4096, "{} bytes for a 1M-frame pool", w.len());
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let back = FrameAllocator::unsnap(&mut r).unwrap();
+        r.done().unwrap();
+        assert_eq!(back.bitmap, fa.bitmap);
+        assert_eq!(back.recycled, fa.recycled);
+        assert_eq!((back.next_pfn, back.in_use), (fa.next_pfn, fa.in_use));
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_allocator() {
+        let mut fa = FrameAllocator::new(300);
+        for _ in 0..130 {
+            fa.alloc().unwrap();
+        }
+        for frames in [300, 40, 1000] {
+            fa.reset(frames);
+            let fresh = FrameAllocator::new(frames);
+            assert_eq!(fa.bitmap, fresh.bitmap, "{frames} frames");
+            assert_eq!(fa.available(), fresh.available());
+            let a = fa.alloc().unwrap();
+            assert_eq!(a, fresh.clone().alloc().unwrap());
+            fa.free(a).unwrap();
+            fa.reset(frames);
+        }
     }
 
     #[test]

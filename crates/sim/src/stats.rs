@@ -265,12 +265,12 @@ impl MeanTracker {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistance {
-    // Fenwick tree over access positions; tree[i] counts "most recent
-    // occurrence" markers. 1-based internally. `markers` mirrors the raw
-    // per-position values so the tree can be rebuilt when it grows (a Fenwick
-    // tree cannot be extended by zero-filling).
-    tree: Vec<u64>,
-    markers: Vec<u64>,
+    // Fenwick tree over access positions, 1-based internally: tree[i]
+    // counts the positions in its range that hold some key's most recent
+    // access. Those positions are exactly `last_pos`'s values, so the tree
+    // is rebuilt from them when it grows (a Fenwick tree cannot be extended
+    // by zero-filling). A count never exceeds the number of distinct keys.
+    tree: Vec<u32>,
     last_pos: HashMap<u64, usize, BuildHasherDefault<Mul64Hasher>>,
     distances: Vec<Option<u64>>,
     n_accesses: usize,
@@ -307,36 +307,38 @@ impl ReuseDistance {
         Self::default()
     }
 
-    fn tree_add(&mut self, pos: usize, delta: i64) {
-        self.markers[pos] = self.markers[pos].wrapping_add(delta as u64);
+    fn tree_add(&mut self, pos: usize, delta: i32) {
         let mut i = pos + 1;
         while i <= self.tree.len() {
             let slot = &mut self.tree[i - 1];
-            *slot = slot.wrapping_add(delta as u64);
+            *slot = slot.wrapping_add_signed(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Grows capacity to at least `cap` and rebuilds the Fenwick tree.
+    /// Grows capacity to at least `cap` and rebuilds the Fenwick tree from
+    /// the most-recent positions in `last_pos`.
     fn grow(&mut self, cap: usize) {
         let cap = cap.next_power_of_two().max(64);
-        self.markers.resize(cap, 0);
-        self.tree = vec![0; cap];
+        self.tree.clear();
+        self.tree.resize(cap, 0);
+        for &pos in self.last_pos.values() {
+            self.tree[pos] += 1;
+        }
         for i in 1..=cap {
-            self.tree[i - 1] = self.tree[i - 1].wrapping_add(self.markers[i - 1]);
             let parent = i + (i & i.wrapping_neg());
             if parent <= cap {
-                self.tree[parent - 1] = self.tree[parent - 1].wrapping_add(self.tree[i - 1]);
+                self.tree[parent - 1] += self.tree[i - 1];
             }
         }
     }
 
-    /// Sum of "most recent occurrence" markers in positions `[0, i]`.
+    /// Number of most-recent positions in `[0, i]`.
     fn tree_sum(&self, i: usize) -> u64 {
         let mut s = 0u64;
         let mut j = i + 1;
         while j > 0 {
-            s = s.wrapping_add(self.tree[j - 1]);
+            s += u64::from(self.tree[j - 1]);
             j -= j & j.wrapping_neg();
         }
         s
@@ -350,8 +352,8 @@ impl ReuseDistance {
             self.grow(self.n_accesses);
         }
         let dist = if let Some(&prev) = self.last_pos.get(&key) {
-            // Distinct keys strictly between prev and pos: markers in
-            // (prev, pos) = sum[0..pos-1] - sum[0..prev].
+            // Distinct keys strictly between prev and pos: most-recent
+            // positions in (prev, pos) = sum[0..pos-1] - sum[0..prev].
             let upto_pos = if pos == 0 { 0 } else { self.tree_sum(pos - 1) };
             let upto_prev = self.tree_sum(prev);
             // Remove the old "most recent" marker for this key.
@@ -366,11 +368,10 @@ impl ReuseDistance {
         dist
     }
 
-    /// Forgets every recorded access while keeping the marker, distance and
+    /// Forgets every recorded access while keeping the tree, distance and
     /// position-map storage — the arena hook for back-to-back runs.
     pub fn reset(&mut self) {
         self.tree.clear();
-        self.markers.clear();
         self.last_pos.clear();
         self.distances.clear();
         self.n_accesses = 0;
@@ -391,12 +392,12 @@ impl ReuseDistance {
         self.n_accesses == 0
     }
 
-    /// Serializes the full tracker state for checkpointing. The Fenwick
-    /// tree and markers are captured verbatim (physical state), the
-    /// position map sorted by key so the byte stream is deterministic.
+    /// Serializes the full tracker state for checkpointing: the position
+    /// map sorted by key so the byte stream is deterministic, then the
+    /// distances. The Fenwick tree is a function of the map and of the
+    /// access count (its capacity), so it is rebuilt on restore rather
+    /// than stored.
     pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64_slice(&self.tree);
-        w.u64_slice(&self.markers);
         let mut pairs: Vec<(u64, usize)> = self.last_pos.iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_unstable();
         w.seq(pairs.len());
@@ -413,28 +414,44 @@ impl ReuseDistance {
 
     /// Rebuilds a tracker captured by [`ReuseDistance::snap`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let tree = r.u64_vec()?;
-        let markers = r.u64_vec()?;
+        Self::unsnap_in(r, Self::default())
+    }
+
+    /// Like [`ReuseDistance::unsnap`], rebuilding in `rd`'s allocations
+    /// (its recorded accesses are discarded), so a restored trace grows
+    /// without reallocating as far as `rd` once did.
+    pub fn unsnap_in(r: &mut SnapReader, mut rd: Self) -> Result<Self, SnapError> {
+        rd.reset();
         let n = r.seq()?;
-        let mut last_pos =
-            HashMap::with_capacity_and_hasher(n, BuildHasherDefault::<Mul64Hasher>::default());
+        let mut pairs = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let k = r.u64()?;
-            let v = r.usize()?;
-            last_pos.insert(k, v);
+            pairs.push((r.u64()?, r.usize()?));
         }
         let n = r.seq()?;
-        let mut distances = Vec::with_capacity(n.min(1 << 20));
+        rd.distances.reserve(n.min(1 << 20));
         for _ in 0..n {
-            distances.push(r.opt(|r| r.u64())?);
+            rd.distances.push(r.opt(|r| r.u64())?);
         }
-        Ok(Self {
-            tree,
-            markers,
-            last_pos,
-            distances,
-            n_accesses: r.usize()?,
-        })
+        rd.n_accesses = r.usize()?;
+        // Every access records one distance, so the two counts agree.
+        if rd.n_accesses != rd.distances.len() {
+            return Err(SnapError::BadTag {
+                what: "reuse-distance access count",
+                tag: rd.n_accesses as u64,
+            });
+        }
+        for (key, pos) in pairs {
+            if pos >= rd.n_accesses || rd.last_pos.insert(key, pos).is_some() {
+                return Err(SnapError::BadTag {
+                    what: "reuse-distance position",
+                    tag: pos as u64,
+                });
+            }
+        }
+        if rd.n_accesses > 0 {
+            rd.grow(rd.n_accesses);
+        }
+        Ok(rd)
     }
 
     /// Fraction of re-accesses whose reuse distance is at least `threshold`
@@ -598,6 +615,29 @@ mod tests {
             });
             assert_eq!(got, expected, "at access {i}");
             naive_last.insert(k, i);
+        }
+    }
+
+    #[test]
+    fn reuse_distance_restores_its_tree_from_the_position_map() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed(5);
+        for len in [0usize, 1, 63, 64, 65, 700] {
+            let mut rd = ReuseDistance::new();
+            for _ in 0..len {
+                rd.access(rng.range(0, 40));
+            }
+            let mut w = SnapWriter::new();
+            rd.snap(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapReader::new(&bytes).unwrap();
+            let mut back = ReuseDistance::unsnap(&mut r).unwrap();
+            r.done().unwrap();
+            assert_eq!(back.tree, rd.tree, "len {len}");
+            for _ in 0..300 {
+                let k = rng.range(0, 40);
+                assert_eq!(back.access(k), rd.access(k), "len {len}");
+            }
         }
     }
 }

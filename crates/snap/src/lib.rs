@@ -14,7 +14,7 @@
 //! * **zero dependencies** — the offline build cannot pull serde, so the
 //!   format is hand-rolled: little-endian fixed-width integers,
 //!   length-prefixed sequences, an 8-byte magic + format version header,
-//!   and a trailing FNV-1a checksum over everything before it.
+//!   and a trailing word-wise checksum over everything before it.
 //!
 //! [`SnapWriter`] appends primitives to a byte buffer; [`SnapReader`]
 //! consumes them in the same order. There is no schema — reader and writer
@@ -27,7 +27,7 @@ pub const MAGIC: &[u8; 8] = b"FNSSNAP1";
 
 /// Format version written after the magic. Bump on ANY layout change to any
 /// `snap`/`unsnap` pair — old snapshots must refuse to load, not misparse.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to load. Every variant names the exact reason so a
 /// refused resume is diagnosable from the error alone.
@@ -39,7 +39,7 @@ pub enum SnapError {
     BadMagic,
     /// Header format version differs from this build's [`FORMAT_VERSION`].
     VersionMismatch { found: u32, expected: u32 },
-    /// Trailing FNV-1a checksum does not match the body.
+    /// The trailing checksum does not match the body.
     ChecksumMismatch { found: u64, computed: u64 },
     /// A read ran past the end of the body mid-structure.
     UnexpectedEof { at: usize, need: usize },
@@ -89,8 +89,8 @@ impl std::fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// FNV-1a over a byte slice — the integrity check appended to every
-/// snapshot. Not cryptographic; it catches truncation and bit rot.
+/// FNV-1a over a byte slice: a small deterministic hash for fingerprints
+/// and digests.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -98,6 +98,29 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The integrity check appended to every snapshot. It folds little-endian
+/// 8-byte words (the tail zero-padded, then the length) into the state with
+/// a xor, an odd multiply and a rotate. Each step is a bijection of the
+/// state, so any change confined to one word always changes the sum, and
+/// a word per step keeps it fast on multi-megabyte snapshots. Not
+/// cryptographic; it catches truncation and bit rot.
+fn checksum(bytes: &[u8]) -> u64 {
+    fn step(h: u64, word: u64) -> u64 {
+        (h ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+    }
+    let mut chunks = bytes.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for c in &mut chunks {
+        h = step(h, u64::from_le_bytes(c.try_into().unwrap()));
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    h = step(h, u64::from_le_bytes(tail));
+    step(h, bytes.len() as u64)
 }
 
 /// Append-only encoder for the snapshot body.
@@ -117,10 +140,10 @@ impl SnapWriter {
         w
     }
 
-    /// Finishes the snapshot: appends the FNV-1a checksum of everything
+    /// Finishes the snapshot: appends the checksum of everything
     /// written so far and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
+        let sum = checksum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
     }
@@ -245,7 +268,7 @@ impl<'a> SnapReader<'a> {
         }
         let body_end = bytes.len() - 8;
         let found = u64::from_le_bytes(bytes[body_end..].try_into().unwrap());
-        let computed = fnv1a(&bytes[..body_end]);
+        let computed = checksum(&bytes[..body_end]);
         if found != computed {
             return Err(SnapError::ChecksumMismatch { found, computed });
         }
@@ -443,7 +466,7 @@ mod tests {
         // version check can fire.
         bytes[8] = 0xFE;
         let body_end = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_end]).to_le_bytes();
+        let sum = checksum(&bytes[..body_end]).to_le_bytes();
         bytes[body_end..].copy_from_slice(&sum);
         assert!(matches!(
             SnapReader::new(&bytes),
@@ -462,6 +485,24 @@ mod tests {
             SnapReader::new(&bytes),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn checksum_changes_with_every_single_bit_flip() {
+        let bytes: Vec<u8> = (0..21u8).collect();
+        let sum = checksum(&bytes);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), sum, "byte {i} bit {bit}");
+            }
+        }
+        // Zero padding of the tail word is not confused with data.
+        assert_ne!(
+            checksum(&bytes[..20]),
+            checksum(&[&bytes[..20], &[0]].concat())
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! every counter, the latency histogram, the locality trace, and the full
 //! chronological fault log.
 
-use fns::apps::{iperf_config, rpc_config};
+use fns::apps::{iperf_config, redis_config, rpc_config};
 use fns::core::{Engine, HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
 use fns::faults::FaultConfig;
 use fns::harness::SweepRunner;
@@ -157,6 +157,48 @@ fn arena_recycled_runs_match_fresh_runs() {
         .map(|cfg| HostSim::run_in(*cfg, &mut arena))
         .collect();
     assert_identical(&golden, &warm, "warm-arena repeat");
+}
+
+/// Fig11a-shaped sweep points with the allocator aged (small rings,
+/// shortened windows): value sizes crossed with every protection mode, so
+/// each mode's post-churn state serves both value sizes.
+fn aged_value_sweep() -> Vec<SimConfig> {
+    let mut configs = Vec::new();
+    for value_kb in [4u64, 32] {
+        for mode in ProtectionMode::ALL {
+            let mut cfg = redis_config(mode, value_kb << 10);
+            cfg.cores = 2;
+            cfg.flows = 2;
+            cfg.ring_packets = 32;
+            cfg.warmup = 300_000;
+            cfg.measure = 700_000;
+            configs.push(cfg);
+        }
+    }
+    configs
+}
+
+#[test]
+fn kept_aged_states_match_fresh_construction_in_every_mode() {
+    // An arena ages the allocator once per mode and restores that
+    // post-churn state for the later value size. Those runs must equal
+    // runs that aged from scratch, in every protection mode and through
+    // the sweep runner's per-worker arenas.
+    let configs = aged_value_sweep();
+    let modes = ProtectionMode::ALL.len();
+    let golden = run_sequentially(&configs);
+    let mut arena = RunArena::new();
+    let kept: Vec<RunMetrics> = configs
+        .iter()
+        .map(|cfg| HostSim::run_in(*cfg, &mut arena))
+        .collect();
+    assert_eq!(arena.aged_states(), modes, "one aged state per mode");
+    assert_eq!(arena.aged_reuses(), (configs.len() - modes) as u64);
+    assert_identical(&golden, &kept, "kept aged states");
+    for jobs in [1, 3] {
+        let par = SweepRunner::new(jobs).run_sims(configs.clone());
+        assert_identical(&golden, &par, &format!("kept aged states jobs={jobs}"));
+    }
 }
 
 #[test]
