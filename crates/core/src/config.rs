@@ -5,7 +5,6 @@ use fns_iommu::IommuConfig;
 use fns_mem::MemoryModel;
 use fns_oracle::AuditConfig;
 use fns_pcie::PcieConfig;
-use fns_sim::queue::QueueKind;
 use fns_sim::time::{Bandwidth, Nanos, MICROS, MILLIS};
 use fns_trace::{ObserveConfig, ProbeConfig, TraceConfig};
 
@@ -267,25 +266,6 @@ pub struct SimConfig {
     /// init so every mapping is observed. Consumes no RNG — a run's
     /// metrics are bit-identical with auditing on or off.
     pub audit: AuditConfig,
-    /// Event-queue implementation. Defaults to the hierarchical timing
-    /// wheel; the binary-heap reference exists for differential testing
-    /// (results are bit-identical either way — `tests/golden_determinism.rs`
-    /// pins that).
-    pub queue: QueueKind,
-    /// Coalesced invalidation batch-drain: per-page invalidation
-    /// submissions from the completion paths run as one pass over the
-    /// driver's flat pending ring instead of one bookkeeping-heavy call
-    /// per page. On by default; `false` restores the per-call reference
-    /// loop. Results are bit-identical either way — metrics, traces, and
-    /// oracle audit order (`tests/golden_determinism.rs` pins it).
-    pub coalesce_inv_drain: bool,
-    /// Analytic fast-forward in the timing wheel: when the occupancy
-    /// bitmasks prove nothing is schedulable before time T, the wheel
-    /// jumps its level bases to T in one pass instead of cascading one
-    /// level per settle. On by default; `false` restores the reference
-    /// cascade. A fast-forward is unobservable in any metric, trace, or
-    /// audit (`queue_equivalence.rs` + `tests/golden_determinism.rs`).
-    pub queue_fast_forward: bool,
     /// Degradation watchdog for long-horizon soak runs (see
     /// [`crate::watchdog`]). Off by default; a disabled watchdog changes
     /// no run by a single bit.
@@ -349,9 +329,6 @@ impl SimConfig {
             trace: TraceConfig::off(),
             probes: ProbeConfig::off(),
             audit: AuditConfig::off(),
-            queue: QueueKind::Wheel,
-            coalesce_inv_drain: true,
-            queue_fast_forward: true,
             watchdog: WatchdogConfig::off(),
             observe: ObserveConfig::off(),
             shards: 0,

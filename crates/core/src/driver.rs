@@ -111,6 +111,18 @@ pub enum Sabotage {
     SkipDomainScopedInvalidation,
 }
 
+/// How many invalidation-queue synchronizations one
+/// [`DmaDriver::submit_invalidations`] call pays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SyncGranularity {
+    /// One synchronization and one wipe epoch per request (stock Linux:
+    /// every page's `dma_unmap` waits on its own).
+    PerPage,
+    /// One synchronization and one wipe epoch for the whole slice (F&S's
+    /// batched range invalidation), with the fault-aware retry ladder.
+    Batch,
+}
+
 /// Storage harvested from a finished [`DmaDriver`] — the driver's share of
 /// a run arena. Opaque: produced by [`DmaDriver::salvage`], consumed by
 /// [`DmaDriver::with_descriptor_pages_in`], which rewinds every component
@@ -196,11 +208,6 @@ pub struct DmaDriver {
     pending_wipe_epochs: std::collections::VecDeque<u32>,
     /// Scratch buffer handing a retired epoch to the audit hook as a slice.
     epoch_scratch: Vec<InvalidationRequest>,
-    /// Coalesce per-page invalidation submissions into one ring pass (see
-    /// [`DmaDriver::submit_per_page_invalidations`]). Default on; the
-    /// per-call loop survives behind the switch as the reference for the
-    /// golden-determinism coalesced-vs-per-event pin.
-    coalesce_inv_drain: bool,
     /// Recycled descriptor-page vectors (from completed Rx descriptors and
     /// Tx packets), reused by `prepare_rx_descriptor`/`tx_map`.
     page_pool: Vec<Vec<DescriptorPage>>,
@@ -376,7 +383,6 @@ impl DmaDriver {
             pending_wipe_reqs: parts.pending_wipe_reqs,
             pending_wipe_epochs: parts.pending_wipe_epochs,
             epoch_scratch: Vec::new(),
-            coalesce_inv_drain: true,
             page_pool: parts.page_pool,
             req_scratch: parts.req_scratch,
             reclaim_scratch: parts.reclaim_scratch,
@@ -551,156 +557,52 @@ impl DmaDriver {
         self.recycle_pages(desc.into_pages());
     }
 
-    /// Enables or disables the coalesced per-page invalidation drain
-    /// (default on). Off routes completions through the legacy
-    /// one-`submit_invalidations`-call-per-page loop; results are
-    /// bit-identical either way (`tests/golden_determinism.rs` pins it).
-    pub fn set_coalesce_inv_drain(&mut self, on: bool) {
-        self.coalesce_inv_drain = on;
-    }
-
-    /// Submits one invalidation *epoch*: IOTLB entries are removed
-    /// synchronously (the unmap path waits for them — the strict safety
-    /// property), while the requests' PTcache wipes queue as a single unit
-    /// that retires between two later walks. Requests submitted back to
-    /// back in one tight loop (a descriptor's 64 per-page invalidations)
-    /// retire together, because the hardware drains the queue far faster
-    /// than one walk interval; requests from separate driver calls retire
-    /// separately.
+    /// Submits invalidation requests to the IOMMU — the driver's one
+    /// submission path. IOTLB entries are removed synchronously (the unmap
+    /// path waits for them — the strict safety property), while the
+    /// requests' PTcache wipes queue as *epochs* that retire between two
+    /// later walks. Requests submitted back to back in one tight loop (a
+    /// descriptor's range) retire together, because the hardware drains the
+    /// queue far faster than one walk interval; separate synchronizations
+    /// retire separately.
     ///
-    /// `per_call_sync` charges one queue synchronization per request — what
-    /// stock Linux pays when every `dma_unmap` waits individually — versus
-    /// one synchronization for the whole batch (F&S's batched invalidation).
-    /// Returns the CPU wait.
-    fn submit_invalidations(&mut self, reqs: &[InvalidationRequest], per_call_sync: bool) -> Nanos {
-        if reqs.is_empty() {
-            return 0;
-        }
-        let epoch_mark = self.pending_wipe_reqs.len();
-        for r in reqs {
-            self.inv_submit_seq += 1;
-            if let Sabotage::SkipRangeInvalidation { nth } = self.sabotage {
-                if nth == self.inv_submit_seq {
+    /// `granularity` sets how many synchronizations the requests pay:
+    /// [`SyncGranularity::PerPage`] gives every request its own sync and
+    /// epoch — what stock Linux pays when every `dma_unmap` waits
+    /// individually — and [`SyncGranularity::Batch`] one sync and one epoch
+    /// for the whole slice (F&S's batched invalidation), the only case with
+    /// the fault-aware retry ladder. A `PerPage` call over n requests is
+    /// observationally identical to n one-request calls. Returns the CPU
+    /// wait.
+    fn submit_invalidations(
+        &mut self,
+        reqs: &[InvalidationRequest],
+        granularity: SyncGranularity,
+    ) -> Nanos {
+        let unit = match granularity {
+            SyncGranularity::PerPage => 1,
+            SyncGranularity::Batch => reqs.len().max(1),
+        };
+        let tracing = self.trace.wants(TraceCategory::Invalidation);
+        let audit_on = self.audit.is_on();
+        let fault_ladder = granularity == SyncGranularity::Batch && self.faults.is_enabled();
+        // Span split: the fault-free wait is InvalidationWait; anything
+        // beyond it (retry backoff, per-page replay) is Recovery.
+        let (mut wait, mut recovery) = (0, 0);
+        for sync in reqs.chunks(unit) {
+            let epoch_mark = self.pending_wipe_reqs.len();
+            for r in sync {
+                self.inv_submit_seq += 1;
+                let skipped = matches!(
+                    self.sabotage,
+                    Sabotage::SkipRangeInvalidation { nth } if nth == self.inv_submit_seq
+                ) || (self.sabotage == Sabotage::SkipDomainScopedInvalidation
+                    && r.domain != 0);
+                if skipped {
                     self.obs
                         .on_inv_skipped(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
                     continue;
                 }
-            }
-            if self.sabotage == Sabotage::SkipDomainScopedInvalidation && r.domain != 0 {
-                self.obs
-                    .on_inv_skipped(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
-                continue;
-            }
-            self.iommu
-                .invalidate_range_in(r.domain, r.range, InvalidationScope::IotlbOnly);
-            self.audit.on_invalidate(r.domain, r.range);
-            self.obs
-                .on_inv_submit(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
-            if r.scope != InvalidationScope::IotlbOnly {
-                self.pending_wipe_reqs.push_back(*r);
-            }
-        }
-        let queued = self.pending_wipe_reqs.len() - epoch_mark;
-        if queued > 0 {
-            self.audit.on_wipe_queued();
-            self.pending_wipe_epochs.push_back(queued as u32);
-        }
-        self.iommu.note_queue_entries(reqs.len() as u64);
-        // Backstop: if translations stall, retire wipes in bulk rather than
-        // letting the queue grow without bound.
-        while self.pending_wipe_epochs.len() > 1024 {
-            self.retire_front_epoch();
-        }
-        // Differential cross-check: no request submitted above may leave a
-        // live IOTLB entry (the sabotaged one deliberately does).
-        if self.audit.is_on() {
-            for r in reqs {
-                self.audit
-                    .crosscheck_invalidated(r.domain, &self.iommu, r.range);
-            }
-        }
-        // The IOTLB entries are gone at this point in *every* outcome below
-        // (the strict safety property never rides on the happy path); what
-        // remains is how long the submitting core waits on the queue.
-        let mut fallback_retries = None;
-        let cost = if per_call_sync {
-            self.invq.cost_ns(1) * reqs.len() as Nanos
-        } else if self.faults.is_enabled() {
-            // Fault-aware path: the queue sync may stall (injected
-            // InvalidationTimeout). The recovery ladder retries with
-            // exponential backoff and degrades the batch to per-page
-            // replay if the stall persists; the replay re-applies the
-            // (idempotent) IOTLB invalidations page by page.
-            let iotlb_only: Vec<InvalidationRequest> = reqs
-                .iter()
-                .map(|r| InvalidationRequest {
-                    range: r.range,
-                    scope: InvalidationScope::IotlbOnly,
-                    domain: r.domain,
-                })
-                .collect();
-            let report = self
-                .invq
-                .execute_with(&mut self.iommu, &iotlb_only, &mut self.faults);
-            if report.per_page_fallback {
-                fallback_retries = Some(report.retries);
-            }
-            report.cost_ns
-        } else {
-            self.invq.cost_ns(reqs.len())
-        };
-        // Span split: the fault-free wait is InvalidationWait; anything
-        // beyond it (retry backoff, per-page replay) is Recovery.
-        let base = if per_call_sync {
-            cost
-        } else {
-            self.invq.cost_ns(reqs.len())
-        };
-        self.spans.charge(Span::InvalidationWait, base.min(cost));
-        self.spans.charge(Span::Recovery, cost.saturating_sub(base));
-        self.invalidation_cpu_ns += cost;
-        if self.trace.wants(TraceCategory::Invalidation) {
-            self.trace.emit(TraceData::InvEnqueue {
-                entries: reqs.len() as u32,
-                cost_ns: cost,
-            });
-            if let Some(retries) = fallback_retries {
-                self.trace.emit(TraceData::InvBatchFallback { retries });
-            }
-        }
-        cost
-    }
-
-    /// Coalesced drain of one completion's per-page invalidations:
-    /// observationally bit-identical to calling
-    /// [`DmaDriver::submit_invalidations`] once per request with
-    /// `per_call_sync` — each page still pays its own queue
-    /// synchronization, still audits/traces in the same order, and still
-    /// retires as its own epoch — but executed as one pass over the flat
-    /// pending ring with no per-call bookkeeping. Returns the CPU wait.
-    fn submit_per_page_invalidations(&mut self, reqs: &[InvalidationRequest]) -> Nanos {
-        if reqs.is_empty() {
-            return 0;
-        }
-        if !self.coalesce_inv_drain {
-            // Reference path for the golden-determinism pin.
-            let mut cpu = 0;
-            for r in reqs {
-                cpu += self.submit_invalidations(std::slice::from_ref(r), true);
-            }
-            return cpu;
-        }
-        let per_cost = self.invq.cost_ns(1);
-        let tracing = self.trace.wants(TraceCategory::Invalidation);
-        let audit_on = self.audit.is_on();
-        for r in reqs {
-            self.inv_submit_seq += 1;
-            let sabotaged = matches!(
-                self.sabotage,
-                Sabotage::SkipRangeInvalidation { nth } if nth == self.inv_submit_seq
-            ) || (self.sabotage == Sabotage::SkipDomainScopedInvalidation
-                && r.domain != 0);
-            if !sabotaged {
                 self.iommu
                     .invalidate_range_in(r.domain, r.range, InvalidationScope::IotlbOnly);
                 self.audit.on_invalidate(r.domain, r.range);
@@ -708,32 +610,72 @@ impl DmaDriver {
                     .on_inv_submit(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
                 if r.scope != InvalidationScope::IotlbOnly {
                     self.pending_wipe_reqs.push_back(*r);
-                    self.audit.on_wipe_queued();
-                    self.pending_wipe_epochs.push_back(1);
                 }
-            } else {
-                self.obs
-                    .on_inv_skipped(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
             }
-            self.iommu.note_queue_entries(1);
+            let queued = self.pending_wipe_reqs.len() - epoch_mark;
+            if queued > 0 {
+                self.audit.on_wipe_queued();
+                self.pending_wipe_epochs.push_back(queued as u32);
+            }
+            self.iommu.note_queue_entries(sync.len() as u64);
+            // Backstop: if translations stall, retire wipes in bulk rather
+            // than letting the queue grow without bound.
             while self.pending_wipe_epochs.len() > 1024 {
                 self.retire_front_epoch();
             }
+            // Differential cross-check: no request submitted above may
+            // leave a live IOTLB entry (a sabotaged one deliberately does).
             if audit_on {
-                self.audit
-                    .crosscheck_invalidated(r.domain, &self.iommu, r.range);
+                for r in sync {
+                    self.audit
+                        .crosscheck_invalidated(r.domain, &self.iommu, r.range);
+                }
             }
+            // The IOTLB entries are gone at this point in *every* outcome
+            // below (the strict safety property never rides on the happy
+            // path); what remains is how long the submitting core waits on
+            // the queue.
+            let base = self.invq.cost_ns(sync.len());
+            let mut fallback_retries = None;
+            let cost = if fault_ladder {
+                // Fault-aware path: the queue sync may stall (injected
+                // InvalidationTimeout). The recovery ladder retries with
+                // exponential backoff and degrades the batch to per-page
+                // replay if the stall persists; the replay re-applies the
+                // (idempotent) IOTLB invalidations page by page.
+                let iotlb_only: Vec<InvalidationRequest> = sync
+                    .iter()
+                    .map(|r| InvalidationRequest {
+                        scope: InvalidationScope::IotlbOnly,
+                        ..*r
+                    })
+                    .collect();
+                let report = self
+                    .invq
+                    .execute_with(&mut self.iommu, &iotlb_only, &mut self.faults);
+                if report.per_page_fallback {
+                    fallback_retries = Some(report.retries);
+                }
+                report.cost_ns
+            } else {
+                base
+            };
+            wait += base.min(cost);
+            recovery += cost.saturating_sub(base);
             if tracing {
                 self.trace.emit(TraceData::InvEnqueue {
-                    entries: 1,
-                    cost_ns: per_cost,
+                    entries: sync.len() as u32,
+                    cost_ns: cost,
                 });
+                if let Some(retries) = fallback_retries {
+                    self.trace.emit(TraceData::InvBatchFallback { retries });
+                }
             }
         }
-        let cost = per_cost * reqs.len() as Nanos;
-        self.spans.charge(Span::InvalidationWait, cost);
-        self.invalidation_cpu_ns += cost;
-        cost
+        self.spans.charge(Span::InvalidationWait, wait);
+        self.spans.charge(Span::Recovery, recovery);
+        self.invalidation_cpu_ns += wait + recovery;
+        wait + recovery
     }
 
     fn apply_request(iommu: &mut Iommu, r: &InvalidationRequest) {
@@ -1066,7 +1008,6 @@ impl DmaDriver {
             pending_wipe_reqs,
             pending_wipe_epochs,
             epoch_scratch: Vec::new(),
-            coalesce_inv_drain: true,
             page_pool,
             req_scratch,
             reclaim_scratch,
@@ -1561,7 +1502,7 @@ impl DmaDriver {
                     scope: InvalidationScope::IotlbOnly,
                     domain: d,
                 }],
-                false,
+                SyncGranularity::Batch,
             );
             self.huge_frames[d as usize].push(desc.pages()[0].pa.pfn());
             self.alloc.try_free(range, core)?;
@@ -1620,7 +1561,7 @@ impl DmaDriver {
                     scope,
                     domain: d,
                 }],
-                false,
+                SyncGranularity::Batch,
             );
             if self.mode.preserves_ptcache() {
                 self.reclaim_fixup(d, &out.reclaimed);
@@ -1656,9 +1597,8 @@ impl DmaDriver {
                 // Stock Linux: each page is its own dma_unmap call — one
                 // synchronization *and* one retirement epoch per page (the
                 // unmaps spread across the NAPI poll, interleaved with the
-                // NIC's ongoing walks). Submitted through the coalesced
-                // single-pass drain.
-                cpu += self.submit_per_page_invalidations(&reqs);
+                // NIC's ongoing walks).
+                cpu += self.submit_invalidations(&reqs, SyncGranularity::PerPage);
                 if self.mode.preserves_ptcache() {
                     self.reclaim_fixup(d, &reclaimed);
                 }
@@ -1936,15 +1876,14 @@ impl DmaDriver {
             self.deferred_pending += pages.len() as u32;
             cpu += self.maybe_deferred_flush();
         } else if self.mode.batched_invalidation() {
-            cpu += self.submit_invalidations(&reqs, false);
+            cpu += self.submit_invalidations(&reqs, SyncGranularity::Batch);
             if self.mode.preserves_ptcache() {
                 self.reclaim_fixup(d, &reclaimed);
             }
         } else {
             // Stock Linux: each transmitted packet's unmap is its own
-            // invalidation + synchronization (its own retirement epoch),
-            // submitted through the coalesced single-pass drain.
-            cpu += self.submit_per_page_invalidations(&reqs);
+            // invalidation + synchronization (its own retirement epoch).
+            cpu += self.submit_invalidations(&reqs, SyncGranularity::PerPage);
             if self.mode.preserves_ptcache() {
                 self.reclaim_fixup(d, &reclaimed);
             }
@@ -2571,6 +2510,133 @@ mod fault_tests {
         let (pages, _) = drv.tx_map(0, 4).unwrap();
         assert_eq!(pages.len(), 4);
         drv.tx_complete(0, &pages).unwrap();
+    }
+
+    /// A two-domain driver in `mode` with the oracle, every trace category
+    /// and the full observability plane armed, holding `pages` pages per
+    /// domain that were mapped, translated (so the IOTLB and PTcache hold
+    /// live entries) and unmapped again. Returns the driver and the
+    /// pages' invalidation requests, alternating domains and cycling
+    /// through every scope.
+    fn unmapped_pages(
+        mode: ProtectionMode,
+        sabotage: Sabotage,
+        pages: usize,
+    ) -> (DmaDriver, Vec<InvalidationRequest>) {
+        let iommu_cfg = IommuConfig {
+            domains: 2,
+            ..IommuConfig::default()
+        };
+        let mut drv = DmaDriver::new(mode, 2, iommu_cfg, CpuCosts::default(), 256, 10_000);
+        drv.set_audit(AuditHandle::recording(mode.contract(256 + 64), false));
+        drv.set_trace(TraceHandle::recording(TraceCategory::ALL_MASK, 1 << 14));
+        drv.audit().set_trace(drv.trace.clone());
+        drv.set_obs(ObsHandle::recording(fns_trace::ObserveConfig::full()));
+        drv.set_sabotage(sabotage);
+        let scopes = [
+            InvalidationScope::IotlbOnly,
+            InvalidationScope::IotlbAndLeafPtcache,
+            InvalidationScope::IotlbAndFullPtcache,
+        ];
+        let mut mapped = Vec::new();
+        for i in 0..2 * pages {
+            let d = (i % 2) as u16;
+            let range = drv.alloc_iova(1, 0).unwrap();
+            let pa = drv.alloc_frame_in(d).unwrap();
+            drv.iommu.map_in(d, range.base(), pa).unwrap();
+            drv.audit.on_map(d, range.base(), pa);
+            mapped.push((d, range));
+        }
+        for &(d, range) in &mapped {
+            drv.translate_in(d, range.base());
+        }
+        let mut reqs = Vec::new();
+        for (i, &(d, range)) in mapped.iter().enumerate() {
+            let out = drv.iommu.unmap_range_in(d, range).unwrap();
+            drv.audit.on_unmap(d, range);
+            drv.audit.on_pt_reclaimed(d, &out.reclaimed);
+            reqs.push(InvalidationRequest {
+                range,
+                scope: scopes[i % scopes.len()],
+                domain: d,
+            });
+        }
+        (drv, reqs)
+    }
+
+    /// Everything a submission can touch, rendered for comparison.
+    fn submission_state(drv: &DmaDriver) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {} {:?} {:?} {:?} {:?} {}",
+            drv.iommu.stats(),
+            drv.iommu.domain_stats(),
+            drv.pending_wipe_epochs,
+            drv.pending_wipe_reqs,
+            drv.invalidation_cpu_ns,
+            drv.spans,
+            drv.trace.drain(),
+            drv.audit().report(),
+            drv.obs.dump(),
+            drv.inv_submit_seq,
+        )
+    }
+
+    #[test]
+    fn per_page_submission_equals_one_request_calls() {
+        // The per-page drain is defined as n one-request submissions: pin
+        // it in every mode, armed with oracle, trace and observers, and
+        // under both seeded invalidation bugs, before and after the
+        // queued PTcache wipes retire.
+        let sabotages = [
+            Sabotage::None,
+            Sabotage::SkipRangeInvalidation { nth: 4 },
+            Sabotage::SkipDomainScopedInvalidation,
+        ];
+        for mode in ProtectionMode::ALL {
+            for sabotage in sabotages {
+                let (mut whole, reqs) = unmapped_pages(mode, sabotage, 6);
+                let (mut split, _) = unmapped_pages(mode, sabotage, 6);
+                let cpu = whole.submit_invalidations(&reqs, SyncGranularity::PerPage);
+                let split_cpu: Nanos = reqs
+                    .iter()
+                    .map(|r| {
+                        split
+                            .submit_invalidations(std::slice::from_ref(r), SyncGranularity::PerPage)
+                    })
+                    .sum();
+                assert_eq!(cpu, split_cpu, "{mode} {sabotage:?}: cpu");
+                if sabotage == Sabotage::None {
+                    let wiping = reqs
+                        .iter()
+                        .filter(|r| r.scope != InvalidationScope::IotlbOnly)
+                        .count();
+                    assert_eq!(whole.pending_wipes(), wiping, "{mode}: one epoch per wipe");
+                }
+                assert_eq!(
+                    submission_state(&whole),
+                    submission_state(&split),
+                    "{mode} {sabotage:?}: submitted state"
+                );
+                // Strict modes promise invalidation at unmap: the oracle
+                // must pass the clean submission and catch a seeded skip.
+                if mode.is_strict_safe() {
+                    let report = whole.audit().report();
+                    assert_eq!(
+                        report.is_clean(),
+                        sabotage == Sabotage::None,
+                        "{mode} {sabotage:?}: {}",
+                        report.summary()
+                    );
+                }
+                whole.drain_ptcache_wipes(usize::MAX);
+                split.drain_ptcache_wipes(usize::MAX);
+                assert_eq!(
+                    submission_state(&whole),
+                    submission_state(&split),
+                    "{mode} {sabotage:?}: retired state"
+                );
+            }
+        }
     }
 
     #[test]

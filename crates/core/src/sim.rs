@@ -599,7 +599,6 @@ struct AgingKey {
     cpu: CpuCosts,
     deferred_flush_threshold: u32,
     locality_samples: usize,
-    coalesce_inv_drain: bool,
     aging_factor: f64,
     seed: u64,
 }
@@ -624,7 +623,6 @@ impl AgingKey {
             cpu: cfg.cpu,
             deferred_flush_threshold: cfg.deferred_flush_threshold,
             locality_samples: cfg.locality_samples,
-            coalesce_inv_drain: cfg.coalesce_inv_drain,
             aging_factor: cfg.aging_factor,
             seed: cfg.seed,
         })
@@ -834,7 +832,7 @@ impl HostSim {
         let aging = AgingKey::of(&cfg);
         let kept = aging.and_then(|key| arena.aged.get(&key));
         let restored = kept.is_some();
-        let (mut drv, rings) = match kept {
+        let (drv, rings) = match kept {
             Some(image) => Self::restore_aged(image, &cfg, arena.driver.take()),
             None => {
                 let drv = DmaDriver::with_descriptor_pages_in(
@@ -850,20 +848,15 @@ impl HostSim {
                 (drv, Vec::new())
             }
         };
-        drv.set_coalesce_inv_drain(cfg.coalesce_inv_drain);
-        // Recycle the event queue only when the configured implementation
-        // matches; a sweep mixing wheel and heap runs rebuilds on the
-        // transition.
-        let mut q = match arena.queue.take() {
-            Some(mut q) if q.kind() == cfg.queue => {
+        let q = match arena.queue.take() {
+            Some(mut q) => {
                 q.reset();
                 q
             }
             // Pre-sized so steady-state event churn never reallocates the
             // backlog (the deepest observed backlogs stay well below this).
-            _ => EventQueue::with_kind(cfg.queue, 4096),
+            None => EventQueue::with_capacity(4096),
         };
-        q.set_fast_forward(cfg.queue_fast_forward);
         let mut sim = Self {
             q,
             rng,
@@ -1476,7 +1469,7 @@ impl HostSim {
 
     /// Queued-but-unretired PTcache wipe epochs in the driver's pending
     /// ring. Debug/inspection helper: lets tests aim a snapshot at a
-    /// moment when the coalesced invalidation drain is mid-flight.
+    /// moment when the invalidation drain is mid-flight.
     pub fn pending_wipe_epochs(&self) -> usize {
         self.drv.pending_wipes()
     }
@@ -1543,8 +1536,7 @@ impl HostSim {
             w.u64(*at);
             ev.snap(&mut w);
         }
-        let mut q = EventQueue::with_kind(self.q.kind(), 4096);
-        q.set_fast_forward(self.cfg.queue_fast_forward);
+        let mut q = EventQueue::with_capacity(4096);
         for (at, ev) in events {
             q.push(at, ev);
         }
@@ -1648,15 +1640,13 @@ impl HostSim {
         let popped = r.u64()?;
         let seq = r.u64()?;
         let n = r.seq()?;
-        let mut q = EventQueue::with_kind(cfg.queue, 4096);
-        q.set_fast_forward(cfg.queue_fast_forward);
+        let mut q = EventQueue::with_capacity(4096);
         for _ in 0..n {
             let at = r.u64()?;
             q.push(at, Ev::unsnap(&mut r)?);
         }
         q.set_counters(qnow, popped, seq);
         let mut drv = DmaDriver::unsnap(&mut r, cfg.mode, cfg.cpu, cfg.faults)?;
-        drv.set_coalesce_inv_drain(cfg.coalesce_inv_drain);
         drv.set_audit(AuditHandle::unsnap(&mut r)?);
         let trace = TraceHandle::unsnap(&mut r)?;
         let n = r.seq()?;
@@ -3156,13 +3146,12 @@ mod tests {
         assert!(base.is_some());
         // The workload, its windows and the planes installed after aging
         // share one post-churn state.
-        let shared: [Edit; 9] = [
+        let shared: [Edit; 8] = [
             |c| c.flows = 40,
             |c| c.workload = Workload::Churn { conn_bytes: 4096 },
             |c| c.warmup = 1,
             |c| c.measure = 1,
             |c| c.nic_buffer_bytes = 1,
-            |c| c.queue = fns_sim::queue::QueueKind::Heap,
             |c| c.faults = FaultConfig::uniform(0.1),
             |c| c.trace = fns_trace::TraceConfig::all(),
             |c| c.observe = fns_trace::ObserveConfig::full(),
@@ -3170,7 +3159,7 @@ mod tests {
         for edit in shared {
             assert_eq!(key(edit), base);
         }
-        let distinct: [Edit; 13] = [
+        let distinct: [Edit; 12] = [
             |c| c.mode = ProtectionMode::FastAndSafe,
             |c| c.cores = 4,
             |c| c.mtu = 9000,
@@ -3181,7 +3170,6 @@ mod tests {
             |c| c.cpu.map_ns += 1,
             |c| c.deferred_flush_threshold += 1,
             |c| c.locality_samples += 1,
-            |c| c.coalesce_inv_drain = false,
             |c| c.aging_factor = 2.0,
             |c| c.seed += 1,
         ];

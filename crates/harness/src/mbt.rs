@@ -527,17 +527,36 @@ mod tests {
 
     #[test]
     fn clean_replay_has_no_violations_in_every_mode() {
-        let ops = generate(0xC0FFEE, 200);
-        for mode in ProtectionMode::ALL {
-            let report = replay(MbtConfig::for_mode(mode), &ops);
-            assert!(
-                report.is_clean(),
-                "{}: {:?}",
-                mode.label(),
-                report.samples.first()
-            );
-            if mode.iommu_enabled() {
-                assert!(report.checks > 0, "{}: nothing audited", mode.label());
+        // A generated trace, plus a short Rx/Tx interleaving (completions
+        // ahead of any live packet, back-to-back Tx maps) that once broke
+        // a driver-lifecycle property test.
+        use Op::*;
+        let interleaving = [
+            PrepareRx,
+            DmaRx { sel: 0 },
+            CompleteRx { sel: 0 },
+            DmaRx { sel: 0 },
+            TxComplete { sel: 0 },
+            TxMap { pages: 1 },
+            TxComplete { sel: 0 },
+            TxComplete { sel: 0 },
+            TxComplete { sel: 0 },
+            TxMap { pages: 3 },
+            TxMap { pages: 1 },
+            PrepareRx,
+        ];
+        for ops in [generate(0xC0FFEE, 200), interleaving.to_vec()] {
+            for mode in ProtectionMode::ALL {
+                let report = replay(MbtConfig::for_mode(mode), &ops);
+                assert!(
+                    report.is_clean(),
+                    "{}: {:?}",
+                    mode.label(),
+                    report.samples.first()
+                );
+                if mode.iommu_enabled() {
+                    assert!(report.checks > 0, "{}: nothing audited", mode.label());
+                }
             }
         }
     }

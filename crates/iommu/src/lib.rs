@@ -13,7 +13,6 @@
 //!   safety-violation detection (stale IOTLB hits, use-after-free walks),
 //! * [`invalidation`] — the invalidation queue and its CPU cost model
 //!   (Figure 6),
-//! * [`lru`] — the generic LRU cache implementation (reference model),
 //! * [`lru64`] — the open-addressed `u64`-keyed LRU the hot path uses,
 //! * [`config`], [`stats`] — hardware knobs and PCM-style counters.
 
@@ -23,7 +22,6 @@ pub mod invalidation;
 #[allow(clippy::module_inception)]
 pub mod iommu;
 pub mod iotlb;
-pub mod lru;
 pub mod lru64;
 pub mod pagetable;
 pub mod stats;

@@ -1,8 +1,8 @@
 //! A specialized O(1) LRU cache for packed `u64` keys.
 //!
-//! Drop-in hot-path replacement for [`crate::lru::LruCache`] in the IOTLB
-//! and PTcache roles, where every key is a pfn or region key that already
-//! fits in a `u64`. Three things make it faster than the generic cache:
+//! The IOTLB and PTcache LRU, specialized to keys that already fit in a
+//! `u64` (every key is a pfn or region key). Three things make it faster
+//! than a generic map-backed LRU cache:
 //!
 //! * **Open-addressed index** — a power-of-two table of arena indices with
 //!   linear probing and backward-shift deletion, instead of a `HashMap`
@@ -15,9 +15,10 @@
 //!   key cloning on insert or touch; evicted slots recycle through a free
 //!   list so steady-state insert/evict churn performs zero allocations.
 //!
-//! Eviction order is exactly the generic cache's LRU order for the same
-//! operation sequence (asserted by `tests/lru_equivalence.rs`), so swapping
-//! it into the IOMMU changes no simulated counter.
+//! Eviction order is exactly a generic LRU's order for the same operation
+//! sequence (asserted against the map-backed reference model kept in
+//! `tests/lru_model/` by `tests/lru_equivalence.rs`), so swapping it into
+//! the IOMMU changes no simulated counter.
 
 const NIL: u32 = u32::MAX;
 /// Empty marker in the open-addressed table.

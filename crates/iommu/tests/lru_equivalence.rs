@@ -1,12 +1,15 @@
 //! Differential test: the open-addressed [`Lru64`] must be operation-for-
-//! operation equivalent to the generic [`LruCache`] reference model —
+//! operation equivalent to the generic [`LruCache`] reference model (kept
+//! in `lru_model/`, next to this test) —
 //! identical hits, identical evictions, identical MRU order. This is the
 //! guarantee that swapping it into the IOTLB/PTcaches changes no simulated
 //! counter anywhere in the workspace.
 
-use fns_iommu::lru::LruCache;
+mod lru_model;
+
 use fns_iommu::lru64::Lru64;
 use fns_sim::rng::SimRng;
+use lru_model::LruCache;
 
 /// Drives both caches through an identical randomized op stream and checks
 /// every return value and the full recency order after each step.

@@ -1,9 +1,8 @@
 //! Dependency-free randomized tests for the IOMMU model: the strict safety
 //! property and the F&S PTcache-preservation rule (DESIGN.md §6, paper §3).
 //!
-//! These port the safety-critical properties from `proptest_safety.rs` to
-//! plain `#[test]`s driven by [`fns_sim::rng::SimRng`], so they run in the
-//! offline tier-1 suite. Each property replays many seeded cases; a failure
+//! Plain `#[test]`s driven by [`fns_sim::rng::SimRng`], so they run in
+//! the offline suite. Each property replays many seeded cases; a failure
 //! message carries the seed for replay.
 
 use fns_iommu::{InvalidationScope, Iommu, IommuConfig, Translation};

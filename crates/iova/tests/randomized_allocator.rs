@@ -1,10 +1,10 @@
 //! Dependency-free randomized tests for the IOVA allocation substrate.
 //!
-//! These port the safety-critical allocator invariants from
-//! `proptest_allocator.rs` (DESIGN.md §6) to plain `#[test]`s driven by
-//! [`fns_sim::rng::SimRng`], so they run in the offline tier-1 suite: live
-//! ranges never overlap, frees always succeed for live ranges, and the
-//! red-black tree structure invariants hold after arbitrary op sequences.
+//! The safety-critical allocator invariants (DESIGN.md §6) as plain
+//! `#[test]`s driven by [`fns_sim::rng::SimRng`], so they run in the
+//! offline suite: live ranges never overlap, frees always succeed for live
+//! ranges, and the red-black tree structure invariants hold after
+//! arbitrary op sequences.
 
 use std::collections::VecDeque;
 

@@ -5,25 +5,23 @@
 //! bit-reproducible: two events scheduled for the same nanosecond always
 //! fire in the order they were pushed.
 //!
-//! Two implementations live behind the same API, selected by [`QueueKind`]:
+//! The queue is a hierarchical timing wheel: `LEVELS` levels of `SLOTS`
+//! slots each, where a level-`l` slot covers `SLOTS^l` nanoseconds. Level-0
+//! slots are one nanosecond wide, so every entry in a level-0 slot shares a
+//! timestamp and plain append order *is* FIFO order — no comparisons on the
+//! hot path. Entries live in a slab of intrusively linked nodes; moving an
+//! entry between slots is a pointer relink, never a payload copy. Events
+//! beyond the wheel's horizon (`SLOTS^LEVELS` ns ≈ 16.8 ms of absolute-time
+//! blocks) overflow into a sorted spill heap and migrate back a block at a
+//! time when the wheel drains; the invariant "every wheel entry precedes
+//! every spill entry" keeps the two regions totally ordered.
 //!
-//! * [`QueueKind::Wheel`] (the default) — a hierarchical timing wheel:
-//!   `LEVELS` levels of `SLOTS` slots each, where a level-`l` slot covers
-//!   `SLOTS^l` nanoseconds. Level-0 slots are one nanosecond wide, so every
-//!   entry in a level-0 slot shares a timestamp and plain append order *is*
-//!   FIFO order — no comparisons on the hot path. Entries live in a slab of
-//!   intrusively linked nodes; moving an entry between slots is a pointer
-//!   relink, never a payload copy. Events beyond the wheel's horizon
-//!   (`SLOTS^LEVELS` ns ≈ 16.8 ms of absolute-time blocks) overflow into a
-//!   sorted spill heap and migrate back a block at a time when the wheel
-//!   drains; the invariant "every wheel entry precedes every spill entry"
-//!   keeps the two regions totally ordered.
-//! * [`QueueKind::Heap`] — the original binary min-heap, kept as the
-//!   reference implementation for the step-for-step differential test
-//!   (`tests/queue_equivalence.rs`) and the bit-identical `RunMetrics`
-//!   cross-check in `tests/golden_determinism.rs`.
+//! The reference for this ordering is a plain binary min-heap over
+//! `(timestamp, sequence)`. It lives in `tests/queue_equivalence.rs`, which
+//! drives both through randomized schedules and requires identical pop
+//! streams step for step.
 //!
-//! Both honor `with_capacity`/`reserve`, and both count storage growths
+//! The queue honors `with_capacity`/`reserve` and counts storage growths
 //! ([`EventQueue::reallocs`]) so benchmarks can assert that a pre-sized
 //! queue never reallocates in steady state.
 
@@ -31,49 +29,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::Nanos;
-
-/// Which queue implementation an [`EventQueue`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timing wheel (the fast default).
-    #[default]
-    Wheel,
-    /// Binary min-heap (the differential-testing reference).
-    Heap,
-}
-
-/// An entry in the heap variant: ordering key plus opaque payload.
-struct Entry<E> {
-    at: Nanos,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    /// The single source of ordering truth: `(timestamp, sequence)`. Every
-    /// comparator below derives from this key so the eq/ord impls can never
-    /// drift apart.
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// log2 of the slot count per wheel level.
 const SLOT_BITS: u32 = 6;
@@ -118,10 +73,6 @@ struct Wheel<E> {
     spill: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
     len: usize,
     grew: u64,
-    /// Analytic fast-forward (see [`Wheel::settle`]). On by default; the
-    /// one-level-per-pass cascade is kept behind this switch as the
-    /// reference for the fast-forward-on-vs-off differential pins.
-    fast_forward: bool,
 }
 
 #[inline]
@@ -146,7 +97,6 @@ impl<E> Wheel<E> {
             spill: BinaryHeap::new(),
             len: 0,
             grew: 0,
-            fast_forward: true,
         }
     }
 
@@ -225,7 +175,7 @@ impl<E> Wheel<E> {
                 self.head[l][s] = NIL;
                 self.tail[l][s] = NIL;
                 self.occupied[l] &= !(1u64 << s);
-                if self.fast_forward && l > 1 {
+                if l > 1 {
                     // Analytic fast-forward. Every level below l is empty
                     // (l is the lowest occupied level), so there is provably
                     // no event before this slot's minimum timestamp T: jump
@@ -358,20 +308,10 @@ impl<E> Wheel<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    imp: Imp<E>,
+    wheel: Wheel<E>,
     seq: u64,
     now: Nanos,
     popped: u64,
-}
-
-// The wheel variant inlines its per-level slot-head/tail arrays (~2 KiB):
-// one queue exists per simulation, so the footprint is irrelevant, while
-// boxing would put an extra indirection on every push/pop of the hottest
-// structure in the simulator.
-#[allow(clippy::large_enum_variant)]
-enum Imp<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Reverse<Entry<E>>>, u64),
 }
 
 impl<E> Default for EventQueue<E> {
@@ -390,65 +330,22 @@ impl<E> EventQueue<E> {
     /// workload whose steady-state backlog stays below it never reallocates
     /// on push.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_kind(QueueKind::Wheel, capacity)
-    }
-
-    /// Creates an empty queue on the chosen implementation.
-    pub fn with_kind(kind: QueueKind, capacity: usize) -> Self {
-        let imp = match kind {
-            QueueKind::Wheel => Imp::Wheel(Wheel::with_capacity(capacity)),
-            QueueKind::Heap => Imp::Heap(BinaryHeap::with_capacity(capacity), 0),
-        };
         Self {
-            imp,
+            wheel: Wheel::with_capacity(capacity),
             seq: 0,
             now: 0,
             popped: 0,
         }
     }
 
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            Imp::Wheel(_) => QueueKind::Wheel,
-            Imp::Heap(..) => QueueKind::Heap,
-        }
-    }
-
-    /// Enables or disables the wheel's analytic fast-forward (on by
-    /// default). Off restores the one-level-per-pass reference cascade; the
-    /// pop stream — and in fact the wheel's entire internal state after
-    /// every settle — is bit-identical either way, pinned by
-    /// `tests/queue_equivalence.rs`. No-op on the heap backend.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        if let Imp::Wheel(w) = &mut self.imp {
-            w.fast_forward = on;
-        }
-    }
-
-    /// Whether the wheel's analytic fast-forward is enabled (always `true`
-    /// for the heap backend, which has nothing to cascade).
-    pub fn fast_forward(&self) -> bool {
-        match &self.imp {
-            Imp::Wheel(w) => w.fast_forward,
-            Imp::Heap(..) => true,
-        }
-    }
-
     /// Reserves capacity for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.nodes.reserve(additional),
-            Imp::Heap(h, _) => h.reserve(additional),
-        }
+        self.wheel.nodes.reserve(additional);
     }
 
     /// Number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.nodes.capacity(),
-            Imp::Heap(h, _) => h.capacity(),
-        }
+        self.wheel.nodes.capacity()
     }
 
     /// How many times event storage has grown since creation (or the last
@@ -456,10 +353,7 @@ impl<E> EventQueue<E> {
     /// steady-state backlog reports zero — the benchmark smoke run asserts
     /// exactly that.
     pub fn reallocs(&self) -> u64 {
-        match &self.imp {
-            Imp::Wheel(w) => w.grew,
-            Imp::Heap(_, grew) => *grew,
-        }
+        self.wheel.grew
     }
 
     /// Total events popped over the queue's lifetime (the denominator of
@@ -475,10 +369,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len,
-            Imp::Heap(h, _) => h.len(),
-        }
+        self.wheel.len
     }
 
     /// Returns `true` if no events are pending.
@@ -500,15 +391,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.imp {
-            Imp::Wheel(w) => w.push(at, seq, event),
-            Imp::Heap(h, grew) => {
-                if h.len() == h.capacity() {
-                    *grew += 1;
-                }
-                h.push(Reverse(Entry { at, seq, event }));
-            }
-        }
+        self.wheel.push(at, seq, event);
     }
 
     /// Schedules `event` to fire `delay` nanoseconds from now.
@@ -519,13 +402,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        let (at, event) = match &mut self.imp {
-            Imp::Wheel(w) => w.pop()?,
-            Imp::Heap(h, _) => {
-                let Reverse(e) = h.pop()?;
-                (e.at, e.event)
-            }
-        };
+        let (at, event) = self.wheel.pop()?;
         debug_assert!(at >= self.now);
         self.now = at;
         self.popped += 1;
@@ -534,10 +411,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<Nanos> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.peek_time(),
-            Imp::Heap(h, _) => h.peek().map(|Reverse(e)| e.at),
-        }
+        self.wheel.peek_time()
     }
 
     /// Clock and sequencing counters `(now, total_popped, next_seq)` — the
@@ -562,15 +436,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Rewinds the queue to an empty, time-zero state while keeping its
-    /// storage (node slab / heap buffer) allocated — the arena-reuse hook.
+    /// node slab allocated — the arena-reuse hook.
     pub fn reset(&mut self) {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.reset(),
-            Imp::Heap(h, grew) => {
-                h.clear();
-                *grew = 0;
-            }
-        }
+        self.wheel.reset();
         self.seq = 0;
         self.now = 0;
         self.popped = 0;
@@ -594,14 +462,12 @@ mod tests {
 
     #[test]
     fn fifo_within_same_timestamp() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind, 0);
-            for i in 0..100 {
-                q.push(42, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((42, i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(42, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((42, i)));
         }
     }
 
@@ -644,41 +510,37 @@ mod tests {
 
     #[test]
     fn steady_state_churn_never_reallocates() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind, 64);
-            let cap = q.capacity();
-            assert!(cap >= 64);
-            // Fill to half capacity, then churn pop/push far past the initial
-            // fill: a steady-state backlog below capacity must never grow the
-            // event storage.
-            for i in 0..32u64 {
-                q.push(i, i);
-            }
-            for i in 32..10_000u64 {
-                let (_, _) = q.pop().expect("backlog nonempty");
-                q.push(i, i);
-                assert_eq!(q.capacity(), cap, "steady-state push reallocated");
-            }
-            assert_eq!(q.total_popped(), 10_000 - 32);
-            assert_eq!(q.reallocs(), 0, "steady-state churn grew {kind:?} storage");
+        let mut q = EventQueue::with_capacity(64);
+        let cap = q.capacity();
+        assert!(cap >= 64);
+        // Fill to half capacity, then churn pop/push far past the initial
+        // fill: a steady-state backlog below capacity must never grow the
+        // event storage.
+        for i in 0..32u64 {
+            q.push(i, i);
         }
+        for i in 32..10_000u64 {
+            let (_, _) = q.pop().expect("backlog nonempty");
+            q.push(i, i);
+            assert_eq!(q.capacity(), cap, "steady-state push reallocated");
+        }
+        assert_eq!(q.total_popped(), 10_000 - 32);
+        assert_eq!(q.reallocs(), 0, "steady-state churn grew the node slab");
     }
 
     #[test]
     fn reserve_grows_capacity_up_front() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q: EventQueue<()> = EventQueue::with_kind(kind, 0);
-            q.reserve(1000);
-            assert!(q.capacity() >= 1000);
-            let cap = q.capacity();
-            for i in 0..1000 {
-                q.push(i, ());
-            }
-            assert_eq!(q.capacity(), cap);
-            // An explicit up-front reserve is planned growth, not a
-            // steady-state reallocation.
-            assert_eq!(q.reallocs(), 0);
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.reserve(1000);
+        assert!(q.capacity() >= 1000);
+        let cap = q.capacity();
+        for i in 0..1000 {
+            q.push(i, ());
         }
+        assert_eq!(q.capacity(), cap);
+        // An explicit up-front reserve is planned growth, not a
+        // steady-state reallocation.
+        assert_eq!(q.reallocs(), 0);
     }
 
     #[test]
@@ -727,26 +589,24 @@ mod tests {
 
     #[test]
     fn reset_rewinds_clock_and_keeps_capacity() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut q = EventQueue::with_kind(kind, 128);
-            let cap = q.capacity();
-            for i in 0..100u64 {
-                q.push(i * 3, i);
-            }
-            for _ in 0..50 {
-                q.pop();
-            }
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.now(), 0);
-            assert_eq!(q.total_popped(), 0);
-            assert_eq!(q.capacity(), cap);
-            // A reset queue behaves like a fresh one, including FIFO ties.
-            q.push(4, 1000);
-            q.push(4, 1001);
-            assert_eq!(q.pop(), Some((4, 1000)));
-            assert_eq!(q.pop(), Some((4, 1001)));
+        let mut q = EventQueue::with_capacity(128);
+        let cap = q.capacity();
+        for i in 0..100u64 {
+            q.push(i * 3, i);
         }
+        for _ in 0..50 {
+            q.pop();
+        }
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), 0);
+        assert_eq!(q.total_popped(), 0);
+        assert_eq!(q.capacity(), cap);
+        // A reset queue behaves like a fresh one, including FIFO ties.
+        q.push(4, 1000);
+        q.push(4, 1001);
+        assert_eq!(q.pop(), Some((4, 1000)));
+        assert_eq!(q.pop(), Some((4, 1001)));
     }
 
     #[test]

@@ -512,6 +512,36 @@ mod tests {
             let err = (est - exact).abs() / exact;
             assert!(err < 0.04, "p{p}: est {est} vs exact {exact}");
         }
+        // Arbitrary value sets, from a handful of samples to thousands and
+        // from one decade to seven: every percentile stays within the
+        // promised ~3% of the exact order statistic, and min, max, count
+        // and mean are exact.
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed(0x4157);
+        for case in 0..64 {
+            let hi = 10u64.pow(1 + case % 7);
+            let mut values: Vec<u64> = (0..rng.range(10, 2000)).map(|_| rng.range(1, hi)).collect();
+            let mut h = Histogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            values.sort_unstable();
+            for p in [10.0, 50.0, 90.0, 99.0] {
+                let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize - 1;
+                let exact = values[rank] as f64;
+                let est = h.percentile(p) as f64;
+                let err = (est - exact).abs() / exact;
+                assert!(err < 0.035, "case {case} p{p}: est {est} vs exact {exact}");
+            }
+            assert_eq!(h.min(), values[0]);
+            assert_eq!(h.max(), *values.last().unwrap());
+            assert_eq!(h.count(), values.len() as u64);
+            let mean = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
+            assert!(
+                (h.mean() - mean).abs() < 1e-6 * mean.max(1.0),
+                "case {case}"
+            );
+        }
     }
 
     #[test]
@@ -530,6 +560,25 @@ mod tests {
         assert_eq!(a.min(), 1);
         let p50 = a.percentile(50.0);
         assert!((480..=530).contains(&p50), "p50={p50}");
+        // Merging equals recording the union, on interleaved random values
+        // as well as on the disjoint ranges above.
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed(0x3E6);
+        for _ in 0..32 {
+            let (mut a, mut b, mut union) = (Histogram::new(), Histogram::new(), Histogram::new());
+            for _ in 0..rng.range(1, 300) {
+                let v = rng.range(1, 100_000);
+                a.record(v);
+                union.record(v);
+            }
+            for _ in 0..rng.range(1, 300) {
+                let v = rng.range(1, 100_000);
+                b.record(v);
+                union.record(v);
+            }
+            a.merge(&b);
+            assert_eq!(a, union);
+        }
     }
 
     #[test]

@@ -1,59 +1,72 @@
 //! Differential test: the hierarchical timing wheel must produce exactly
-//! the pop sequence of the reference binary heap — same timestamps, same
-//! FIFO tie order — over randomized schedules, the same way `lru64` was
-//! proven against the map-based `lru`. The wheel runs twice per script:
-//! once with the analytic fast-forward (the default) and once on the
-//! one-level-per-pass reference cascade, so every workload here also pins
-//! fast-forward-on against fast-forward-off.
+//! the pop sequence of a reference binary heap — same timestamps, same
+//! FIFO tie order — over randomized schedules, the same way `lru64` is
+//! proven against a map-based LRU. The heap is a small model local to this
+//! test: ordering by `(timestamp, push sequence)` is the whole contract.
 
-use fns_sim::queue::{EventQueue, QueueKind};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use fns_sim::queue::EventQueue;
 use fns_sim::rng::SimRng;
 use fns_sim::Nanos;
 
-/// Drives all three implementations — fast-forwarding wheel, cascading
-/// wheel, reference heap — through an identical push/pop script and
-/// asserts every observable agrees step for step.
+/// Reference model of [`EventQueue`]: a min-heap keyed by `(timestamp,
+/// push sequence)`, with the same clock and pop counter.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    seq: u64,
+    now: Nanos,
+    popped: u64,
+}
+
+impl HeapModel {
+    fn push(&mut self, at: Nanos, id: u32) {
+        assert!(at >= self.now, "model scheduled into the past");
+        self.heap.push(Reverse((at, self.seq, id)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Nanos, u32)> {
+        let Reverse((at, _, id)) = self.heap.pop()?;
+        self.now = at;
+        self.popped += 1;
+        Some((at, id))
+    }
+
+    fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+}
+
+/// Drives the wheel and the reference model through an identical push/pop
+/// script and asserts every observable agrees step for step.
 struct Pair {
     wheel: EventQueue<u32>,
-    cascade: EventQueue<u32>,
-    heap: EventQueue<u32>,
+    heap: HeapModel,
 }
 
 impl Pair {
     fn with_capacity(capacity: usize) -> Self {
-        let wheel = EventQueue::with_kind(QueueKind::Wheel, capacity);
-        assert!(wheel.fast_forward(), "fast-forward must be the default");
-        let mut cascade = EventQueue::with_kind(QueueKind::Wheel, capacity);
-        cascade.set_fast_forward(false);
         Self {
-            wheel,
-            cascade,
-            heap: EventQueue::with_kind(QueueKind::Heap, capacity),
+            wheel: EventQueue::with_capacity(capacity),
+            heap: HeapModel::default(),
         }
     }
 
     fn push(&mut self, at: Nanos, id: u32) {
         self.wheel.push(at, id);
-        self.cascade.push(at, id);
         self.heap.push(at, id);
-        assert_eq!(self.wheel.len(), self.heap.len());
-        assert_eq!(self.cascade.len(), self.heap.len());
+        assert_eq!(self.wheel.len(), self.heap.heap.len());
     }
 
     fn pop(&mut self) -> Option<(Nanos, u32)> {
         let w = self.wheel.pop();
-        let c = self.cascade.pop();
         let h = self.heap.pop();
-        assert_eq!(w, h, "pop diverged at event #{}", self.heap.total_popped());
-        assert_eq!(
-            c,
-            h,
-            "cascade pop diverged at event #{}",
-            self.heap.total_popped()
-        );
-        assert_eq!(self.wheel.now(), self.heap.now());
-        assert_eq!(self.cascade.now(), self.heap.now());
-        assert_eq!(self.wheel.total_popped(), self.heap.total_popped());
+        assert_eq!(w, h, "pop diverged at event #{}", self.heap.popped);
+        assert_eq!(self.wheel.now(), self.heap.now);
+        assert_eq!(self.wheel.total_popped(), self.heap.popped);
         w
     }
 
@@ -75,7 +88,7 @@ fn randomized_schedules_agree() {
         for _ in 0..20_000 {
             let action = rng.range(0, 100);
             if action < 55 {
-                let now = pair.heap.now();
+                let now = pair.heap.now;
                 let delay = match rng.range(0, 10) {
                     0 => 0,                           // exact tie at `now`
                     1..=4 => rng.range(1, 200),       // short: levels 0-1
@@ -102,7 +115,7 @@ fn dense_tie_bursts_preserve_fifo() {
     let mut pair = Pair::with_capacity(0);
     let mut id = 0u32;
     for round in 0..200u64 {
-        let t = pair.heap.now() + rng.range(0, 5);
+        let t = pair.heap.now + rng.range(0, 5);
         for _ in 0..rng.range(1, 20) {
             pair.push(t, id);
             id += 1;
@@ -125,7 +138,7 @@ fn spill_dominated_workload_agrees() {
     let mut rng = SimRng::seed(99);
     let mut pair = Pair::with_capacity(16);
     for id in 0..2_000u32 {
-        let now = pair.heap.now();
+        let now = pair.heap.now;
         // Land most pushes 1-4 horizon blocks out, with duplicates.
         let delay = rng.range(1 << 23, 1 << 26) & !0x3ff;
         pair.push(now + delay, id);
@@ -140,14 +153,14 @@ fn spill_dominated_workload_agrees() {
 /// events (or small ties) parked multiple levels up with nothing below, so
 /// every settle proves a jump. `peek_time` is asserted before each pop —
 /// the fast-forwarded base registers must answer the same timestamp the
-/// cascade and the heap derive.
+/// heap derives.
 #[test]
 fn idle_gaps_fast_forward_identically() {
     let mut rng = SimRng::seed(0xFF00D);
     let mut pair = Pair::with_capacity(8);
     let mut id = 0u32;
     for _ in 0..3_000 {
-        let now = pair.heap.now();
+        let now = pair.heap.now;
         // Gaps spanning levels 1-3 and the occasional spill, with a burst
         // of ties at the far timestamp to exercise FIFO across the jump.
         let gap = match rng.range(0, 8) {
@@ -162,10 +175,8 @@ fn idle_gaps_fast_forward_identically() {
             id += 1;
         }
         let pw = pair.wheel.peek_time();
-        let pc = pair.cascade.peek_time();
         let ph = pair.heap.peek_time();
         assert_eq!(pw, ph, "peek diverged at event #{id}");
-        assert_eq!(pc, ph, "cascade peek diverged at event #{id}");
         while pair.pop().is_some() {
             // Drain fully so the next push lands on an empty wheel whose
             // bases were just fast-forwarded.
@@ -179,12 +190,11 @@ fn idle_gaps_fast_forward_identically() {
 fn capacity_paths_agree_and_wheel_presizes() {
     let mut pair = Pair::with_capacity(0);
     pair.wheel.reserve(512);
-    pair.heap.reserve(512);
     assert!(pair.wheel.capacity() >= 512);
     let cap = pair.wheel.capacity();
     let mut rng = SimRng::seed(0xAB);
     for id in 0..5_000u32 {
-        let now = pair.heap.now();
+        let now = pair.heap.now;
         pair.push(now + rng.range(0, 4096), id);
         if id % 2 == 1 {
             pair.pop();
@@ -196,20 +206,18 @@ fn capacity_paths_agree_and_wheel_presizes() {
     assert_eq!(pair.wheel.reallocs(), 0);
 }
 
-/// The wheel honors `with_capacity` exactly like the heap: zero-capacity
-/// queues grow, pre-sized queues don't.
+/// `with_capacity` is honored: zero-capacity queues grow, pre-sized
+/// queues don't.
 #[test]
-fn with_capacity_is_honored_by_both() {
-    for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        let mut q = EventQueue::with_kind(kind, 256);
-        for i in 0..256u64 {
-            q.push(i, i as u32);
-        }
-        assert_eq!(q.reallocs(), 0, "{kind:?} grew despite with_capacity");
-        let mut q0: EventQueue<u32> = EventQueue::with_kind(kind, 0);
-        for i in 0..256u64 {
-            q0.push(i, i as u32);
-        }
-        assert!(q0.reallocs() > 0, "{kind:?} reported no growth from zero");
+fn with_capacity_is_honored() {
+    let mut q = EventQueue::with_capacity(256);
+    for i in 0..256u64 {
+        q.push(i, i as u32);
     }
+    assert_eq!(q.reallocs(), 0, "grew despite with_capacity");
+    let mut q0: EventQueue<u32> = EventQueue::new();
+    for i in 0..256u64 {
+        q0.push(i, i as u32);
+    }
+    assert!(q0.reallocs() > 0, "reported no growth from zero");
 }

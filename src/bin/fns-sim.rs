@@ -702,16 +702,21 @@ fn main() {
             args.measure_ms.unwrap_or(10_000),
             args.seed
         ),
-        None => println!(
-            "workload={} flows={} ring={} mtu={} pages/desc={} measure={}ms seed={}",
-            args.workload,
-            args.flows,
-            args.ring,
-            args.mtu,
-            args.pages_per_desc,
-            args.measure_ms.unwrap_or(60),
-            args.seed
-        ),
+        None => {
+            // The workload presets own flows, ring and MTU; print the
+            // config that runs, not the CLI defaults it may override.
+            let cfg = build_config(&args, args.modes[0]);
+            println!(
+                "workload={} flows={} ring={} mtu={} pages/desc={} measure={}ms seed={}",
+                args.workload,
+                cfg.flows,
+                cfg.ring_packets,
+                cfg.mtu,
+                cfg.pages_per_descriptor,
+                cfg.measure / 1_000_000,
+                cfg.seed
+            )
+        }
     }
     let modes = args.modes.clone();
     let checkpointed = args.soak.is_some() || args.snapshot_every_ms > 0 || args.resume.is_some();

@@ -137,57 +137,37 @@ fn chaos_sweep_is_violation_free() {
     report_failures("chaos sweep", &failures);
 }
 
-/// Explicit coalescer coverage: in every protection mode, an audited run
-/// with the invalidation batch-drain enabled (the default) must be
-/// violation-free AND bit-identical — audit report included, so oracle
-/// observation order is pinned too — to the per-call reference loop.
-/// The headline sweep exercises the coalescer implicitly via defaults;
-/// this cell makes the coverage explicit so a future default flip or a
-/// drain-order regression cannot silently shrink it.
+/// Explicit invalidation-drain coverage: in every protection mode, an
+/// audited run must be violation-free. The headline sweep exercises the
+/// drain implicitly; this cell names every mode so a drain-order
+/// regression cannot silently shrink the coverage. The per-page drain's
+/// equivalence to one-request submissions is pinned in the driver's own
+/// unit tests.
 #[test]
 fn coalesced_drain_is_audit_clean_in_every_mode() {
-    let mut keys = Vec::new();
-    let mut configs = Vec::new();
-    for mode in ProtectionMode::ALL {
-        let on = audit_cell(
-            fns::apps::iperf_config(mode, 2, 64),
-            1,
-            FaultConfig::disabled(),
-        );
-        assert!(
-            on.coalesce_inv_drain,
-            "{mode}: coalesced drain must be on by default"
-        );
-        let mut off = on;
-        off.coalesce_inv_drain = false;
-        keys.push(mode);
-        configs.push(on);
-        configs.push(off);
-    }
+    let configs: Vec<_> = ProtectionMode::ALL
+        .iter()
+        .map(|&mode| {
+            audit_cell(
+                fns::apps::iperf_config(mode, 2, 64),
+                1,
+                FaultConfig::disabled(),
+            )
+        })
+        .collect();
     let results = SweepRunner::from_env().run_sims(configs);
     let mut failures = Vec::new();
-    for (mode, pair) in keys.into_iter().zip(results.chunks_exact(2)) {
-        let (coalesced, reference) = (&pair[0], &pair[1]);
-        for (label, m) in [("coalesced", coalesced), ("per-call", reference)] {
-            assert!(m.audit.checks > 0 || !mode.iommu_enabled());
-            if !m.audit.is_clean() {
-                let mut cell = format!(
-                    "coalescer mode={} drain={label}: {}",
-                    mode.label(),
-                    m.audit.summary()
-                );
-                for v in &m.audit.samples {
-                    let _ = write!(cell, "\n  [{}] {}", v.invariant.name(), v.detail);
-                }
-                failures.push(cell);
+    for (mode, m) in ProtectionMode::ALL.into_iter().zip(&results) {
+        assert!(m.audit.checks > 0 || !mode.iommu_enabled());
+        if !m.audit.is_clean() {
+            let mut cell = format!("drain mode={}: {}", mode.label(), m.audit.summary());
+            for v in &m.audit.samples {
+                let _ = write!(cell, "\n  [{}] {}", v.invariant.name(), v.detail);
             }
+            failures.push(cell);
         }
-        assert_eq!(
-            coalesced, reference,
-            "{mode}: coalesced drain changed the run relative to the per-call loop"
-        );
     }
-    report_failures("coalescer sweep", &failures);
+    report_failures("drain sweep", &failures);
 }
 
 /// Auditing consumes no randomness and never feeds back into the

@@ -219,8 +219,8 @@ fn deferred_mode_exposes_its_unsafety_window() {
 
 /// A snapshot taken *mid-drain* — while the driver's pending-wipe ring
 /// holds queued-but-unretired PTcache wipe epochs — must restore
-/// bit-identically. The coalesced invalidation batch-drain keeps that
-/// ring populated between completions and the next translation, so this
+/// bit-identically. The per-page invalidation drain keeps that ring
+/// populated between completions and the next translation, so this
 /// pins the in-flight drain state (requests plus epoch boundaries)
 /// through the snapshot codec rather than hoping a fixed timestamp lands
 /// on a non-empty ring.
@@ -230,10 +230,6 @@ fn mid_drain_snapshot_restores_with_pending_wipes_in_flight() {
     // ring refills constantly; FastAndSafe preserves the PTcache and its
     // ring stays empty — strict is the interesting case here.
     let cfg = chaos_config(ProtectionMode::LinuxStrict, FaultConfig::disabled());
-    assert!(
-        cfg.coalesce_inv_drain,
-        "coalesced drain must be on by default"
-    );
     let golden = HostSim::new(cfg).run();
 
     // Walk the run in small steps until the pending ring is non-empty,
