@@ -314,13 +314,9 @@ fn main() {
                 "{name} run {i}: armed-observability metrics diverged from bare"
             );
         }
-        let mut registry = RegistryReport {
-            enabled: true,
-            stats: Vec::new(),
-            series: Vec::new(),
-        };
+        let mut registry = RegistryReport::default();
         for m in &obs {
-            registry.stats.extend(m.registry.stats.iter().copied());
+            registry.merge_stats(&m.registry);
         }
 
         let mut spans = SpanSet::default();

@@ -24,14 +24,14 @@ use fns_iova::types::{Iova, IovaRange};
 use fns_iova::{AllocError, AllocStats, CachingAllocator, IovaAllocator};
 use fns_mem::{FrameAllocator, PhysAddr};
 use fns_nic::descriptor::{Descriptor, DescriptorPage};
-use fns_oracle::AuditHandle;
 use fns_sim::stats::ReuseDistance;
 use fns_sim::time::Nanos;
-use fns_trace::{ObsHandle, Span, SpanSet, TraceCategory, TraceData, TraceHandle};
+use fns_trace::{Span, SpanSet, TraceCategory, TraceData};
 
 use crate::config::CpuCosts;
 use crate::errors::DmaError;
 use crate::mode::ProtectionMode;
+use crate::tap::{DmaEvent, Tap, WalkDelta};
 
 /// Pages per F&S Tx chunk (same 256 KB granularity as Rx descriptors, §3).
 pub const TX_CHUNK_PAGES: u64 = 64;
@@ -206,7 +206,8 @@ pub struct DmaDriver {
     /// Epoch boundaries in [`DmaDriver::pending_wipe_reqs`]: entry `i` is
     /// the length of the `i`-th oldest un-retired epoch.
     pending_wipe_epochs: std::collections::VecDeque<u32>,
-    /// Scratch buffer handing a retired epoch to the audit hook as a slice.
+    /// Scratch buffer holding a retiring epoch, so the tap sees it as a
+    /// slice.
     epoch_scratch: Vec<InvalidationRequest>,
     /// Recycled descriptor-page vectors (from completed Rx descriptors and
     /// Tx packets), reused by `prepare_rx_descriptor`/`tx_map`.
@@ -220,14 +221,10 @@ pub struct DmaDriver {
     pub locality: ReuseDistance,
     locality_cap: usize,
     locality_recording: bool,
-    /// Total CPU ns spent waiting on the invalidation queue (a subset of
-    /// `map_cpu_ns`, whole-run). Equals `spans.invalidation_ns()`.
-    pub invalidation_cpu_ns: Nanos,
-    /// Total driver datapath CPU ns — allocation, map/unmap, *and*
-    /// invalidation waits (whole-run). Equals `spans.total_ns()`.
-    pub map_cpu_ns: Nanos,
-    /// Disjoint CPU attribution of the same charges (alloc / map / unmap /
-    /// invalidation-wait / completion / recovery).
+    /// The driver's CPU ledger, whole-run: every datapath charge in one
+    /// disjoint bucket (alloc / map / unmap / invalidation-wait /
+    /// completion / recovery). `total_ns()` is the datapath CPU and
+    /// `invalidation_ns()` its invalidation share.
     pub spans: SpanSet,
     /// Deferred-mode flushes executed.
     pub deferred_flushes: u64,
@@ -235,13 +232,9 @@ pub struct DmaDriver {
     /// preparation, frame/IOVA allocation, invalidation submission).
     /// Disabled by default; the simulation installs a seeded plane.
     faults: FaultPlane,
-    /// Telemetry recorder handle (off by default; ~0 cost when off).
-    trace: TraceHandle,
-    /// Safety-oracle handle (off by default; ~0 cost when off).
-    audit: AuditHandle,
-    /// Causal observability plane (provenance/txn/registry); off by
+    /// The instrumentation tap (trace ring, observers, oracle); off by
     /// default, shared with the simulation when armed.
-    obs: ObsHandle,
+    tap: Tap,
     /// Seeded test-only bug (always `None` outside the oracle corpus).
     sabotage: Sabotage,
     /// Whole-run ordinal of submitted invalidation requests, the
@@ -389,14 +382,10 @@ impl DmaDriver {
             locality: parts.locality,
             locality_cap,
             locality_recording: true,
-            invalidation_cpu_ns: 0,
-            map_cpu_ns: 0,
             spans: SpanSet::default(),
             deferred_flushes: 0,
             faults: FaultPlane::disabled(),
-            trace: TraceHandle::default(),
-            audit: AuditHandle::default(),
-            obs: ObsHandle::default(),
+            tap: Tap::Off,
             sabotage: Sabotage::None,
             inv_submit_seq: 0,
             map_ops: 0,
@@ -439,35 +428,24 @@ impl DmaDriver {
     /// seed) so enabling faults never perturbs the workload trajectory.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
         self.faults = plane;
-        self.faults.set_trace(self.trace.clone());
+        self.faults.set_trace(self.tap.trace());
     }
 
-    /// Attaches the telemetry recorder. Events emitted before this call
-    /// (init-time churn) are not recorded, matching the fault-plane
-    /// install ordering.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-        self.faults.set_trace(self.trace.clone());
+    /// Installs the instrumentation tap; the fault plane pushes its
+    /// records into the tap's trace ring.
+    pub fn set_tap(&mut self, tap: Tap) {
+        self.tap = tap;
+        self.faults.set_trace(self.tap.trace());
     }
 
-    /// Installs the safety-oracle handle. Unlike the fault and trace
-    /// planes, the oracle is installed *before* `init()` so it observes
-    /// init-time mappings; otherwise steady-state accesses to init-mapped
-    /// pages would read as never-mapped violations.
-    pub fn set_audit(&mut self, audit: AuditHandle) {
-        self.audit = audit;
+    /// The driver's instrumentation tap (off by default).
+    pub fn tap(&self) -> &Tap {
+        &self.tap
     }
 
-    /// The driver's safety-oracle handle (report access; off by default).
-    pub fn audit(&self) -> &AuditHandle {
-        &self.audit
-    }
-
-    /// Attaches the causal observability plane. Like the trace plane it
-    /// is installed after `init()`: provenance timelines start at
-    /// steady-state, not with init-time churn.
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
+    /// Takes the tap out, leaving it off (see [`Tap::arm`]).
+    pub(crate) fn take_tap(&mut self) -> Tap {
+        std::mem::take(&mut self.tap)
     }
 
     /// Arms a seeded test-only driver bug for the oracle corpus. Never
@@ -512,7 +490,7 @@ impl DmaDriver {
                 .alloc
                 .alloc(1, (i as usize) % cores)
                 .expect("IOVA space exhausted during aging");
-            self.audit.on_alloc(r);
+            self.tap.emit(DmaEvent::Alloc(r));
             live.push(r);
         }
         // Fisher-Yates shuffle of the free order.
@@ -521,7 +499,7 @@ impl DmaDriver {
             live.swap(i, j);
         }
         for r in live {
-            self.audit.on_free(r);
+            self.tap.emit(DmaEvent::Free(r));
             self.alloc.free(r, rng.index(cores));
         }
     }
@@ -583,8 +561,6 @@ impl DmaDriver {
             SyncGranularity::PerPage => 1,
             SyncGranularity::Batch => reqs.len().max(1),
         };
-        let tracing = self.trace.wants(TraceCategory::Invalidation);
-        let audit_on = self.audit.is_on();
         let fault_ladder = granularity == SyncGranularity::Batch && self.faults.is_enabled();
         // Span split: the fault-free wait is InvalidationWait; anything
         // beyond it (retry backoff, per-page replay) is Recovery.
@@ -598,23 +574,23 @@ impl DmaDriver {
                     Sabotage::SkipRangeInvalidation { nth } if nth == self.inv_submit_seq
                 ) || (self.sabotage == Sabotage::SkipDomainScopedInvalidation
                     && r.domain != 0);
-                if skipped {
-                    self.obs
-                        .on_inv_skipped(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
-                    continue;
+                if !skipped {
+                    self.iommu
+                        .invalidate_range_in(r.domain, r.range, InvalidationScope::IotlbOnly);
                 }
-                self.iommu
-                    .invalidate_range_in(r.domain, r.range, InvalidationScope::IotlbOnly);
-                self.audit.on_invalidate(r.domain, r.range);
-                self.obs
-                    .on_inv_submit(r.range.pfn_lo(), r.range.pages(), self.inv_submit_seq);
-                if r.scope != InvalidationScope::IotlbOnly {
+                self.tap.emit(DmaEvent::InvSubmit {
+                    d: r.domain,
+                    range: r.range,
+                    ordinal: self.inv_submit_seq,
+                    skipped,
+                });
+                if !skipped && r.scope != InvalidationScope::IotlbOnly {
                     self.pending_wipe_reqs.push_back(*r);
                 }
             }
             let queued = self.pending_wipe_reqs.len() - epoch_mark;
             if queued > 0 {
-                self.audit.on_wipe_queued();
+                self.tap.emit(DmaEvent::WipeQueued);
                 self.pending_wipe_epochs.push_back(queued as u32);
             }
             self.iommu.note_queue_entries(sync.len() as u64);
@@ -625,12 +601,11 @@ impl DmaDriver {
             }
             // Differential cross-check: no request submitted above may
             // leave a live IOTLB entry (a sabotaged one deliberately does).
-            if audit_on {
-                for r in sync {
-                    self.audit
-                        .crosscheck_invalidated(r.domain, &self.iommu, r.range);
-                }
-            }
+            self.tap.emit(DmaEvent::InvSynced {
+                reqs: sync,
+                iommu: &self.iommu,
+                backlog: self.pending_wipe_epochs.len(),
+            });
             // The IOTLB entries are gone at this point in *every* outcome
             // below (the strict safety property never rides on the happy
             // path); what remains is how long the submitting core waits on
@@ -662,19 +637,17 @@ impl DmaDriver {
             };
             wait += base.min(cost);
             recovery += cost.saturating_sub(base);
-            if tracing {
-                self.trace.emit(TraceData::InvEnqueue {
-                    entries: sync.len() as u32,
-                    cost_ns: cost,
-                });
-                if let Some(retries) = fallback_retries {
-                    self.trace.emit(TraceData::InvBatchFallback { retries });
-                }
+            self.tap.emit(DmaEvent::Trace(TraceData::InvEnqueue {
+                entries: sync.len() as u32,
+                cost_ns: cost,
+            }));
+            if let Some(retries) = fallback_retries {
+                self.tap
+                    .emit(DmaEvent::Trace(TraceData::InvBatchFallback { retries }));
             }
         }
         self.spans.charge(Span::InvalidationWait, wait);
         self.spans.charge(Span::Recovery, recovery);
-        self.invalidation_cpu_ns += wait + recovery;
         wait + recovery
     }
 
@@ -692,37 +665,20 @@ impl DmaDriver {
     }
 
     /// Pops the oldest pending epoch off the ring and applies its wipes.
-    /// The audit hook needs the epoch as a slice; the scratch copy is only
-    /// built when auditing is on.
     fn retire_front_epoch(&mut self) {
         let n = self
             .pending_wipe_epochs
             .pop_front()
             .expect("non-empty epoch ring") as usize;
-        if self.audit.is_on() {
-            self.epoch_scratch.clear();
-            for _ in 0..n {
-                let r = self
-                    .pending_wipe_reqs
-                    .pop_front()
-                    .expect("request ring holds every queued epoch");
-                Self::apply_request(&mut self.iommu, &r);
-                self.obs
-                    .on_inv_complete(r.range.pfn_lo(), r.range.pages(), n as u64);
-                self.epoch_scratch.push(r);
-            }
-            self.audit.on_wipe_applied(&self.epoch_scratch);
-        } else {
-            for _ in 0..n {
-                let r = self
-                    .pending_wipe_reqs
-                    .pop_front()
-                    .expect("request ring holds every queued epoch");
-                Self::apply_request(&mut self.iommu, &r);
-                self.obs
-                    .on_inv_complete(r.range.pfn_lo(), r.range.pages(), n as u64);
-            }
+        self.epoch_scratch.clear();
+        self.epoch_scratch.extend(self.pending_wipe_reqs.drain(..n));
+        for r in &self.epoch_scratch {
+            Self::apply_request(&mut self.iommu, r);
         }
+        self.tap.emit(DmaEvent::WipeRetired {
+            epoch: &self.epoch_scratch,
+            backlog: self.pending_wipe_epochs.len(),
+        });
     }
 
     /// Retires up to `max` queued PTcache wipe epochs (called by the
@@ -733,7 +689,8 @@ impl DmaDriver {
             self.retire_front_epoch();
         }
         if drained > 0 {
-            self.trace.emit(TraceData::InvDrain { epochs: drained });
+            self.tap
+                .emit(DmaEvent::Trace(TraceData::InvDrain { epochs: drained }));
         }
     }
 
@@ -770,8 +727,7 @@ impl DmaDriver {
     fn unsnap_request(
         r: &mut fns_snap::SnapReader,
     ) -> Result<InvalidationRequest, fns_snap::SnapError> {
-        let base = Iova::new(r.u64()?);
-        let pages = r.u64()?;
+        let range = IovaRange::unsnap(r)?;
         let scope = match r.u8()? {
             0 => InvalidationScope::IotlbOnly,
             1 => InvalidationScope::IotlbAndLeafPtcache,
@@ -785,7 +741,7 @@ impl DmaDriver {
         };
         let domain = r.u64()? as u16;
         Ok(InvalidationRequest {
-            range: IovaRange::new(base, pages),
+            range,
             scope,
             domain,
         })
@@ -794,8 +750,8 @@ impl DmaDriver {
     /// Serializes the full driver state for checkpointing. Scratch pools
     /// (`page_pool`, `req_scratch`, `reclaim_scratch`, `epoch_scratch`) are
     /// not serialized — they are behaviorally invisible storage caches and
-    /// come back empty. The trace/audit/fault planes' *handles* are also
-    /// excluded: the simulation owns those and reattaches them on restore.
+    /// come back empty. The tap is also excluded: the simulation owns it
+    /// and reattaches it on restore.
     pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
         self.iommu.snap(w);
         self.alloc.snap(w);
@@ -848,8 +804,6 @@ impl DmaDriver {
         self.locality.snap(w);
         w.usize(self.locality_cap);
         w.bool(self.locality_recording);
-        w.u64(self.invalidation_cpu_ns);
-        w.u64(self.map_cpu_ns);
         self.spans.snap(w);
         w.u64(self.deferred_flushes);
         self.faults.snap(w);
@@ -874,9 +828,8 @@ impl DmaDriver {
 
     /// Rebuilds a driver captured by [`DmaDriver::snap`]. `mode`, `costs`,
     /// and `fault_cfg` come from the (caller-validated) run configuration;
-    /// everything stateful comes from the snapshot. The trace and audit
-    /// handles come back `Off` — reattach with [`DmaDriver::set_trace`] /
-    /// [`DmaDriver::set_audit`].
+    /// everything stateful comes from the snapshot. The tap comes back
+    /// `Off` — reattach with [`DmaDriver::set_tap`].
     pub fn unsnap(
         r: &mut fns_snap::SnapReader,
         mode: ProtectionMode,
@@ -932,7 +885,7 @@ impl DmaDriver {
             let len = r.seq()?;
             let mut pool = std::collections::VecDeque::with_capacity(len.min(1 << 20));
             for _ in 0..len {
-                let iova = Iova::new(r.u64()?);
+                let iova = Iova::unsnap(r)?;
                 let pa = PhysAddr::new(r.u64()?);
                 pool.push_back(DescriptorPage { iova, pa });
             }
@@ -959,11 +912,16 @@ impl DmaDriver {
         for _ in 0..n {
             pending_wipe_reqs.push_back(Self::unsnap_request(r)?);
         }
+        let queued: u64 = pending_wipe_epochs.iter().map(|&len| len as u64).sum();
+        if queued != n as u64 {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "wipe epochs vs queued requests",
+                tag: queued,
+            });
+        }
         let locality = ReuseDistance::unsnap_in(r, locality)?;
         let locality_cap = r.usize()?;
         let locality_recording = r.bool()?;
-        let invalidation_cpu_ns = r.u64()?;
-        let map_cpu_ns = r.u64()?;
         let spans = SpanSet::unsnap(r)?;
         let deferred_flushes = r.u64()?;
         let faults = FaultPlane::unsnap(fault_cfg, r)?;
@@ -1014,14 +972,10 @@ impl DmaDriver {
             locality,
             locality_cap,
             locality_recording,
-            invalidation_cpu_ns,
-            map_cpu_ns,
             spans,
             deferred_flushes,
             faults,
-            trace: TraceHandle::default(),
-            audit: AuditHandle::default(),
-            obs: ObsHandle::default(),
+            tap: Tap::Off,
             sabotage,
             inv_submit_seq,
             map_ops,
@@ -1062,7 +1016,7 @@ impl DmaDriver {
             .alloc
             .alloc(pages, core)
             .ok_or(AllocError::Exhausted { pages })?;
-        self.audit.on_alloc(r);
+        self.tap.emit(DmaEvent::Alloc(r));
         Ok(r)
     }
 
@@ -1124,7 +1078,7 @@ impl DmaDriver {
                 let pa_base = PhysAddr::from_pfn(self.next_pinned_pfn);
                 self.next_pinned_pfn += HUGE_PAGES;
                 self.iommu.map_huge_in(d, chunk.base(), pa_base)?;
-                self.audit.on_map_huge(d, chunk.base(), pa_base);
+                self.tap.emit(DmaEvent::MapHuge(d, chunk.base(), pa_base));
                 for i in 0..HUGE_PAGES {
                     self.pinned_free[d as usize].push_back(DescriptorPage {
                         iova: chunk.page(i),
@@ -1146,7 +1100,11 @@ impl DmaDriver {
                         }
                     };
                     self.iommu.map_in(d, r.base(), pa)?;
-                    self.audit.on_map(d, r.base(), pa);
+                    self.tap.emit(DmaEvent::Map {
+                        d,
+                        iova: r.base(),
+                        pa,
+                    });
                     self.pinned_free[d as usize].push_back(DescriptorPage { iova: r.base(), pa });
                 }
             }
@@ -1178,12 +1136,12 @@ impl DmaDriver {
                     }
                 }
                 self.alloc.try_free(chunk.range(), core)?;
-                self.audit.on_free(chunk.range());
+                self.tap.emit(DmaEvent::Free(chunk.range()));
             }
         } else {
             let range = IovaRange::new(iova, 1);
             self.alloc.try_free(range, core)?;
-            self.audit.on_free(range);
+            self.tap.emit(DmaEvent::Free(range));
         }
         Ok(())
     }
@@ -1201,8 +1159,7 @@ impl DmaDriver {
                 .iommu
                 .unmap_range_in(d, range)
                 .expect("unwinding a just-mapped page");
-            self.audit.on_pt_reclaimed(d, &out.reclaimed);
-            self.audit.on_unwound(d, range);
+            self.tap.emit(DmaEvent::Unwound(d, range, &out.reclaimed));
             reclaimed.extend(out.reclaimed);
             self.release_iova_page(p.iova, core)
                 .expect("unwinding a just-allocated IOVA");
@@ -1210,7 +1167,7 @@ impl DmaDriver {
                 .expect("unwinding a fresh frame");
         }
         self.iommu.invalidate_for_reclaimed_in(d, &reclaimed);
-        self.audit.on_reclaim_fixup(d, &reclaimed);
+        self.tap.emit(DmaEvent::UnwindFixup(d, &reclaimed));
     }
 
     /// Prepares one Rx descriptor for `core`: allocates frames, assigns
@@ -1240,19 +1197,13 @@ impl DmaDriver {
                 self.maybe_cross_domain_leak(d, first);
             }
         }
-        if self.obs.is_on() {
-            // Open the transaction span and stamp per-page Map provenance
-            // (modes without live IOMMU mappings have no page lifecycle to
-            // record).
-            self.obs
-                .txn_start(desc.id(), core as u32, desc.len() as u32, cpu);
-            if !self.mode.is_pinned_pool() && self.mode != ProtectionMode::IommuOff {
-                for p in desc.pages() {
-                    self.obs
-                        .on_map(p.iova.pfn(), 1, core as u32, self.inv_submit_seq);
-                }
-            }
-        }
+        self.tap.emit(DmaEvent::RxPrepared {
+            desc: &desc,
+            core: core as u32,
+            map_ns: cpu,
+            epoch: self.inv_submit_seq,
+            paged: self.has_page_lifecycle(),
+        });
         Ok((desc, cpu))
     }
 
@@ -1283,11 +1234,11 @@ impl DmaDriver {
             let pa_base = PhysAddr::from_pfn(base_pfn);
             if let Err(e) = self.iommu.map_huge_in(d, chunk.base(), pa_base) {
                 self.huge_frames[d as usize].push(base_pfn);
-                self.audit.on_free(chunk);
+                self.tap.emit(DmaEvent::Free(chunk));
                 self.alloc.free(chunk, core);
                 return Err(e.into());
             }
-            self.audit.on_map_huge(d, chunk.base(), pa_base);
+            self.tap.emit(DmaEvent::MapHuge(d, chunk.base(), pa_base));
             for i in 0..HUGE_PAGES {
                 let iova = chunk.page(i);
                 self.record_locality(iova);
@@ -1301,8 +1252,8 @@ impl DmaDriver {
             let cpu = self.costs.map_ns + alloc_cost;
             self.spans.charge(Span::Map, self.costs.map_ns);
             self.spans.charge(Span::Alloc, alloc_cost);
-            self.map_cpu_ns += cpu;
-            self.trace.emit(TraceData::Map { pages: n as u32 });
+            self.tap
+                .emit(DmaEvent::Trace(TraceData::Map { pages: n as u32 }));
             return Ok((Descriptor::new(id, pages), cpu));
         }
         if self.mode.is_pinned_pool() {
@@ -1314,7 +1265,6 @@ impl DmaDriver {
             // Recycling bookkeeping only: no map, no allocation fast path.
             let cpu = n * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Alloc, cpu);
-            self.map_cpu_ns += cpu;
             return Ok((Descriptor::new(id, slots), cpu));
         }
         if self.mode == ProtectionMode::IommuOff {
@@ -1356,22 +1306,21 @@ impl DmaDriver {
                                     .iommu
                                     .unmap_range_in(d, r1)
                                     .expect("unwinding a just-mapped page");
-                                self.audit.on_pt_reclaimed(d, &out.reclaimed);
-                                self.audit.on_unwound(d, r1);
+                                self.tap.emit(DmaEvent::Unwound(d, r1, &out.reclaimed));
                                 reclaimed.extend(out.reclaimed);
                                 self.free_frame_in(d, p.pa)
                                     .expect("unwinding a fresh frame");
                             }
                             self.iommu.invalidate_for_reclaimed_in(d, &reclaimed);
-                            self.audit.on_reclaim_fixup(d, &reclaimed);
-                            self.audit.on_free(chunk);
+                            self.tap.emit(DmaEvent::UnwindFixup(d, &reclaimed));
+                            self.tap.emit(DmaEvent::Free(chunk));
                             self.alloc.free(chunk, core);
                             return Err(e);
                         }
                     };
                     let iova = chunk.page(i);
                     self.iommu.map_in(d, iova, pa)?;
-                    self.audit.on_map(d, iova, pa);
+                    self.tap.emit(DmaEvent::Map { d, iova, pa });
                     self.record_locality(iova);
                     pages.push(DescriptorPage { iova, pa });
                 }
@@ -1395,7 +1344,7 @@ impl DmaDriver {
                         }
                     };
                     self.iommu.map_in(d, iova, pa)?;
-                    self.audit.on_map(d, iova, pa);
+                    self.tap.emit(DmaEvent::Map { d, iova, pa });
                     self.record_locality(iova);
                     pages.push(DescriptorPage { iova, pa });
                 }
@@ -1419,7 +1368,7 @@ impl DmaDriver {
                 };
                 let iova = r.base();
                 self.iommu.map_in(d, iova, pa)?;
-                self.audit.on_map(d, iova, pa);
+                self.tap.emit(DmaEvent::Map { d, iova, pa });
                 self.record_locality(iova);
                 pages.push(DescriptorPage { iova, pa });
             }
@@ -1428,8 +1377,8 @@ impl DmaDriver {
         cpu += n * self.costs.map_ns + alloc_cost;
         self.spans.charge(Span::Map, n * self.costs.map_ns);
         self.spans.charge(Span::Alloc, alloc_cost);
-        self.map_cpu_ns += cpu;
-        self.trace.emit(TraceData::Map { pages: n as u32 });
+        self.tap
+            .emit(DmaEvent::Trace(TraceData::Map { pages: n as u32 }));
         Ok((Descriptor::new(id, pages), cpu))
     }
 
@@ -1458,25 +1407,18 @@ impl DmaDriver {
         core: usize,
         desc: &Descriptor,
     ) -> Result<Nanos, DmaError> {
-        if !self.obs.is_on() {
-            return self.complete_rx_descriptor_inner(d, core, desc);
-        }
-        // Close the transaction span, charging it the invalidation-queue
-        // wait this completion actually paid, and stamp Unmap provenance.
-        let inv_before = self.invalidation_cpu_ns;
+        // The transaction span is charged the invalidation-queue wait this
+        // completion actually paid.
+        let inv_before = self.spans.invalidation_ns();
         let cpu = self.complete_rx_descriptor_inner(d, core, desc)?;
-        if !self.mode.is_pinned_pool() && self.mode != ProtectionMode::IommuOff {
-            for p in desc.pages() {
-                self.obs
-                    .on_unmap(p.iova.pfn(), 1, core as u32, self.inv_submit_seq);
-            }
-        }
-        self.obs.txn_complete(
-            desc.id(),
-            core as u32,
+        self.tap.emit(DmaEvent::RxCompleted {
+            desc,
+            core: core as u32,
             d,
-            self.invalidation_cpu_ns - inv_before,
-        );
+            epoch: self.inv_submit_seq,
+            inv_wait_ns: self.spans.invalidation_ns() - inv_before,
+            paged: self.has_page_lifecycle(),
+        });
         Ok(cpu)
     }
 
@@ -1493,7 +1435,7 @@ impl DmaDriver {
             let base = desc.pages()[0].iova;
             self.iommu.unmap_huge_in(d, base)?;
             let range = IovaRange::new(base, desc.len() as u64);
-            self.audit.on_unmap(d, range);
+            self.tap.emit(DmaEvent::Unmap(d, range, &[]));
             let mut cpu = self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
             cpu += self.submit_invalidations(
@@ -1506,14 +1448,13 @@ impl DmaDriver {
             );
             self.huge_frames[d as usize].push(desc.pages()[0].pa.pfn());
             self.alloc.try_free(range, core)?;
-            self.audit.on_free(range);
+            self.tap.emit(DmaEvent::Free(range));
             let alloc_cost = self.alloc_cost_since(before);
             cpu += alloc_cost;
             self.spans.charge(Span::Completion, alloc_cost);
-            self.map_cpu_ns += cpu;
-            self.trace.emit(TraceData::Unmap {
+            self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
                 pages: desc.len() as u32,
-            });
+            }));
             return Ok(cpu);
         }
         if self.mode.is_pinned_pool() {
@@ -1522,8 +1463,6 @@ impl DmaDriver {
             self.pinned_free[d as usize].extend(desc.pages().iter().copied());
             let cpu = desc.len() as Nanos * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Completion, cpu);
-            self.map_cpu_ns += cpu;
-            let _ = core;
             return Ok(cpu);
         }
         if self.mode == ProtectionMode::IommuOff {
@@ -1551,8 +1490,7 @@ impl DmaDriver {
             // invalidation-queue entry (Figure 6b).
             let range = IovaRange::new(desc.pages()[0].iova, desc.len() as u64);
             let out = self.iommu.unmap_range_in(d, range)?;
-            self.audit.on_unmap(d, range);
-            self.audit.on_pt_reclaimed(d, &out.reclaimed);
+            self.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
             cpu += self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
             cpu += self.submit_invalidations(
@@ -1567,7 +1505,7 @@ impl DmaDriver {
                 self.reclaim_fixup(d, &out.reclaimed);
             }
             self.alloc.try_free(range, core)?;
-            self.audit.on_free(range);
+            self.tap.emit(DmaEvent::Free(range));
         } else {
             // Stock Linux: page-at-a-time unmap, one queue entry each
             // (Figure 6a).
@@ -1576,8 +1514,7 @@ impl DmaDriver {
             for p in desc.pages() {
                 let range = IovaRange::new(p.iova, 1);
                 let out = self.iommu.unmap_range_in(d, range)?;
-                self.audit.on_unmap(d, range);
-                self.audit.on_pt_reclaimed(d, &out.reclaimed);
+                self.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
                 reclaimed.extend(out.reclaimed);
                 cpu += self.costs.unmap_ns;
                 reqs.push(InvalidationRequest {
@@ -1586,7 +1523,7 @@ impl DmaDriver {
                     domain: d,
                 });
                 self.alloc.try_free(range, core)?;
-                self.audit.on_free(range);
+                self.tap.emit(DmaEvent::Free(range));
             }
             self.spans
                 .charge(Span::Unmap, desc.len() as Nanos * self.costs.unmap_ns);
@@ -1614,10 +1551,9 @@ impl DmaDriver {
         let alloc_cost = self.alloc_cost_since(before);
         cpu += alloc_cost;
         self.spans.charge(Span::Completion, alloc_cost);
-        self.map_cpu_ns += cpu;
-        self.trace.emit(TraceData::Unmap {
+        self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
             pages: desc.len() as u32,
-        });
+        }));
         Ok(cpu)
     }
 
@@ -1632,12 +1568,10 @@ impl DmaDriver {
         self.deferred_flushes += 1;
         // One global flush descriptor.
         self.iommu.invalidate_all();
-        self.audit.on_invalidate_all();
         self.iommu.note_queue_entries(1);
         let cost = self.invq.cost_ns(1);
         self.spans.charge(Span::InvalidationWait, cost);
-        self.invalidation_cpu_ns += cost;
-        self.trace.emit(TraceData::InvFlush { cost_ns: cost });
+        self.tap.emit(DmaEvent::Flush { cost_ns: cost });
         cost
     }
 
@@ -1689,7 +1623,6 @@ impl DmaDriver {
             }
             let cpu = pages as Nanos * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Alloc, cpu);
-            self.map_cpu_ns += cpu;
             return Ok((slots, cpu));
         }
         if self.mode == ProtectionMode::IommuOff {
@@ -1735,7 +1668,7 @@ impl DmaDriver {
                 }
             };
             self.iommu.map_in(d, iova, pa)?;
-            self.audit.on_map(d, iova, pa);
+            self.tap.emit(DmaEvent::Map { d, iova, pa });
             self.record_locality(iova);
             out.push(DescriptorPage { iova, pa });
         }
@@ -1744,8 +1677,7 @@ impl DmaDriver {
         self.spans
             .charge(Span::Map, pages as u64 * self.costs.map_ns);
         self.spans.charge(Span::Alloc, alloc_cost);
-        self.map_cpu_ns += cpu;
-        self.trace.emit(TraceData::Map { pages });
+        self.tap.emit(DmaEvent::Trace(TraceData::Map { pages }));
         Ok((out, cpu))
     }
 
@@ -1803,8 +1735,6 @@ impl DmaDriver {
             self.pinned_free[d as usize].extend(pages.iter().copied());
             let cpu = pages.len() as Nanos * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Completion, cpu);
-            self.map_cpu_ns += cpu;
-            let _ = core;
             return Ok(cpu);
         }
         if self.mode == ProtectionMode::IommuOff {
@@ -1841,8 +1771,7 @@ impl DmaDriver {
         for p in pages {
             let range = IovaRange::new(p.iova, 1);
             let out = self.iommu.unmap_range_in(d, range)?;
-            self.audit.on_unmap(d, range);
-            self.audit.on_pt_reclaimed(d, &out.reclaimed);
+            self.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
             reclaimed.extend(out.reclaimed);
             cpu += self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
@@ -1895,44 +1824,31 @@ impl DmaDriver {
         let alloc_cost = self.alloc_cost_since(before);
         cpu += alloc_cost;
         self.spans.charge(Span::Completion, alloc_cost);
-        self.map_cpu_ns += cpu;
-        self.trace.emit(TraceData::Unmap {
+        self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
             pages: pages.len() as u32,
-        });
+        }));
         Ok(cpu)
     }
 
-    /// Records a PTcache-fixup reclaim (preserve-mode invalidation of
-    /// reclaimed page-table pages) in the trace.
-    fn note_reclaim(&mut self, reclaimed: &[fns_iommu::ReclaimedPage]) {
-        if !reclaimed.is_empty() && self.trace.wants(TraceCategory::Translate) {
-            self.trace.emit(TraceData::PtcacheReclaim {
-                entries: reclaimed.len() as u32,
-            });
+    /// The preserve-mode synchronous PTcache fixup for reclaimed PT pages
+    /// (the paper's Figure 5 rule).
+    fn reclaim_fixup(&mut self, d: u16, reclaimed: &[fns_iommu::ReclaimedPage]) {
+        let skipped = self.sabotage == Sabotage::SkipReclaimFixup;
+        if !skipped {
+            self.iommu.invalidate_for_reclaimed_in(d, reclaimed);
         }
+        self.tap.emit(DmaEvent::ReclaimFixup {
+            d,
+            reclaimed,
+            skipped,
+        });
     }
 
-    /// The preserve-mode synchronous PTcache fixup for reclaimed PT pages
-    /// (the paper's Figure 5 rule), with its trace and audit bookkeeping.
-    fn reclaim_fixup(&mut self, d: u16, reclaimed: &[fns_iommu::ReclaimedPage]) {
-        self.note_reclaim(reclaimed);
-        if self.sabotage == Sabotage::SkipReclaimFixup {
-            return;
-        }
-        self.iommu.invalidate_for_reclaimed_in(d, reclaimed);
-        self.audit.on_reclaim_fixup(d, reclaimed);
-        if self.obs.is_on() {
-            for r in reclaimed {
-                // Anchor the event at the base IOVA pfn of the span the
-                // reclaimed PT page mapped (level N covers 9(N-1) pfn bits).
-                let base_pfn = match r.level {
-                    4 => r.region_key << 9,
-                    3 => r.region_key << 18,
-                    _ => r.region_key << 27,
-                };
-                self.obs.on_reclaim(base_pfn, r.level);
-            }
-        }
+    /// Whether the mode installs IOMMU mappings per operation, so pages
+    /// have a map/unmap lifecycle to record (pinned pools and IOMMU-off
+    /// do not).
+    fn has_page_lifecycle(&self) -> bool {
+        !self.mode.is_pinned_pool() && self.mode != ProtectionMode::IommuOff
     }
 
     /// Seeded cross-domain corruption (see [`Sabotage::CrossDomainLeak`]):
@@ -1977,14 +1893,8 @@ impl DmaDriver {
         if self.mode == ProtectionMode::IommuOff {
             return 0;
         }
-        if self.audit.is_on() {
-            return self.translate_audited(d, iova).reads();
-        }
-        if self.trace.wants(TraceCategory::Translate) {
-            return self.translate_traced(d, iova).reads();
-        }
-        if self.obs.wants_translate() {
-            return self.translate_observed(d, iova).reads();
+        if self.tap.watches_translate() {
+            return self.translate_tapped(d, iova);
         }
         let t = self.iommu.translate_in(d, iova);
         debug_assert!(
@@ -1994,26 +1904,56 @@ impl DmaDriver {
         t.reads()
     }
 
-    /// Audited translation: wraps the (possibly traced) translation with
-    /// the oracle's per-access check, feeding it the stale-walk counter
-    /// delta as ground truth for PT use-after-free.
-    fn translate_audited(&mut self, d: u16, iova: Iova) -> fns_iommu::Translation {
+    /// Instrumented translation: identical behaviour to the untapped path,
+    /// reported to the tap with the stale-walk counter delta (the oracle's
+    /// ground truth for PT use-after-free). Only a trace recording the
+    /// Translate category pays for the counter and PTcache-length
+    /// snapshots behind [`WalkDelta`]; provenance reads hit/miss off the
+    /// [`Translation`](fns_iommu::Translation) itself. Kept out of line so
+    /// the untapped hot path stays small.
+    #[inline(never)]
+    fn translate_tapped(&mut self, d: u16, iova: Iova) -> u32 {
         let stale_before = self.iommu.stats().stale_ptcache_walks;
-        let t = if self.trace.wants(TraceCategory::Translate) {
-            self.translate_traced(d, iova)
-        } else if self.obs.wants_translate() {
-            self.translate_observed(d, iova)
-        } else {
-            let t = self.iommu.translate_in(d, iova);
-            debug_assert!(
-                t.pa().is_some() || self.mode == ProtectionMode::LinuxDeferred,
-                "device fault on a supposedly mapped IOVA ({iova})"
-            );
-            t
-        };
-        let stale = self.iommu.stats().stale_ptcache_walks - stale_before;
-        self.audit.on_translate(d, iova, t.pa(), stale);
-        t
+        let snapshot = self
+            .tap
+            .wants(TraceCategory::Translate)
+            .then(|| (self.iommu.stats(), self.iommu.ptcache_lens()));
+        let t = self.iommu.translate_in(d, iova);
+        debug_assert!(
+            t.pa().is_some() || self.mode == ProtectionMode::LinuxDeferred,
+            "device fault on a supposedly mapped IOVA ({iova})"
+        );
+        let walk = snapshot.map(|(before, lens)| {
+            // A PTcache miss at level N means the walk filled that level;
+            // the fill evicted an entry when the cache did not grow.
+            let (after, lens_after) = (self.iommu.stats(), self.iommu.ptcache_lens());
+            let fill = |missed: bool, grew: bool| missed.then_some(!grew);
+            WalkDelta {
+                fills: [
+                    fill(
+                        after.ptcache_l1_misses > before.ptcache_l1_misses,
+                        lens_after.0 > lens.0,
+                    ),
+                    fill(
+                        after.ptcache_l2_misses > before.ptcache_l2_misses,
+                        lens_after.1 > lens.1,
+                    ),
+                    fill(
+                        after.ptcache_l3_misses > before.ptcache_l3_misses,
+                        lens_after.2 > lens.2,
+                    ),
+                ],
+                faulted: after.faults > before.faults,
+            }
+        });
+        self.tap.emit(DmaEvent::Translate {
+            d,
+            iova,
+            t,
+            walk,
+            stale_walks: self.iommu.stats().stale_ptcache_walks - stale_before,
+        });
+        t.reads()
     }
 
     /// Translates a *possibly-unmapped* IOVA (the chaos plane's stale-DMA
@@ -2029,80 +1969,15 @@ impl DmaDriver {
         if self.mode == ProtectionMode::IommuOff {
             return false;
         }
-        if self.audit.is_on() {
-            let stale_before = self.iommu.stats().stale_ptcache_walks;
-            let pa = self
-                .iommu
-                .translate_checked_in(d, iova)
-                .ok()
-                .map(|(pa, _)| pa);
-            let stale = self.iommu.stats().stale_ptcache_walks - stale_before;
-            self.audit.on_translate(d, iova, pa, stale);
-            pa.is_some()
-        } else {
-            self.iommu.translate_checked_in(d, iova).is_ok()
-        }
-    }
-
-    /// Observed-only translation: feeds the provenance/metrics plane from
-    /// the [`Translation`](fns_iommu::Translation) result itself, skipping
-    /// the stats/PTcache-length snapshots the full traced path pays for.
-    fn translate_observed(&mut self, d: u16, iova: Iova) -> fns_iommu::Translation {
-        let t = self.iommu.translate_in(d, iova);
-        debug_assert!(
-            t.pa().is_some() || self.mode == ProtectionMode::LinuxDeferred,
-            "device fault on a supposedly mapped IOVA ({iova})"
-        );
-        self.obs
-            .on_translate(iova.pfn(), t.iotlb_hit(), t.reads() as u64);
-        t
-    }
-
-    /// Traced translation: identical behaviour to [`DmaDriver::translate`]
-    /// plus IOTLB/PTcache events derived from the counter deltas. Kept out
-    /// of line so the untraced hot path stays branch-plus-call free.
-    fn translate_traced(&mut self, d: u16, iova: Iova) -> fns_iommu::Translation {
-        let before = self.iommu.stats();
-        let lens_before = self.iommu.ptcache_lens();
-        let t = self.iommu.translate_in(d, iova);
-        debug_assert!(
-            t.pa().is_some() || self.mode == ProtectionMode::LinuxDeferred,
-            "device fault on a supposedly mapped IOVA ({iova})"
-        );
-        let after = self.iommu.stats();
-        if after.iotlb_hits > before.iotlb_hits {
-            self.trace.emit(TraceData::IotlbHit);
-            self.obs.on_translate(iova.pfn(), true, 0);
-        }
-        if after.iotlb_misses > before.iotlb_misses {
-            self.trace.emit(TraceData::IotlbMiss { reads: t.reads() });
-            self.obs.on_translate(iova.pfn(), false, t.reads() as u64);
-            // A PTcache miss at level N means the walk filled that level;
-            // the fill evicted an entry when the cache did not grow.
-            let lens_after = self.iommu.ptcache_lens();
-            let fills = [
-                (1u8, after.ptcache_l1_misses > before.ptcache_l1_misses),
-                (2u8, after.ptcache_l2_misses > before.ptcache_l2_misses),
-                (3u8, after.ptcache_l3_misses > before.ptcache_l3_misses),
-            ];
-            let grew = [
-                lens_after.0 > lens_before.0,
-                lens_after.1 > lens_before.1,
-                lens_after.2 > lens_before.2,
-            ];
-            for (level, missed) in fills {
-                if missed {
-                    self.trace.emit(TraceData::PtcacheFill {
-                        level,
-                        evicted: !grew[level as usize - 1],
-                    });
-                }
-            }
-        }
-        if after.faults > before.faults {
-            self.trace.emit(TraceData::TranslationFault);
-        }
-        t
+        let stale_before = self.iommu.stats().stale_ptcache_walks;
+        let pa = self.iommu.translate_in(d, iova).pa();
+        self.tap.emit(DmaEvent::Probe {
+            d,
+            iova,
+            pa,
+            stale_walks: self.iommu.stats().stale_ptcache_walks - stale_before,
+        });
+        pa.is_some()
     }
 }
 
@@ -2528,10 +2403,10 @@ mod fault_tests {
             ..IommuConfig::default()
         };
         let mut drv = DmaDriver::new(mode, 2, iommu_cfg, CpuCosts::default(), 256, 10_000);
-        drv.set_audit(AuditHandle::recording(mode.contract(256 + 64), false));
-        drv.set_trace(TraceHandle::recording(TraceCategory::ALL_MASK, 1 << 14));
-        drv.audit().set_trace(drv.trace.clone());
-        drv.set_obs(ObsHandle::recording(fns_trace::ObserveConfig::full()));
+        drv.set_tap(Tap::auditing(mode.contract(256 + 64), false).arm(
+            fns_trace::TraceHandle::recording(TraceCategory::ALL_MASK, 1 << 14),
+            &fns_trace::ObserveConfig::full(),
+        ));
         drv.set_sabotage(sabotage);
         let scopes = [
             InvalidationScope::IotlbOnly,
@@ -2544,7 +2419,11 @@ mod fault_tests {
             let range = drv.alloc_iova(1, 0).unwrap();
             let pa = drv.alloc_frame_in(d).unwrap();
             drv.iommu.map_in(d, range.base(), pa).unwrap();
-            drv.audit.on_map(d, range.base(), pa);
+            drv.tap.emit(DmaEvent::Map {
+                d,
+                iova: range.base(),
+                pa,
+            });
             mapped.push((d, range));
         }
         for &(d, range) in &mapped {
@@ -2553,8 +2432,7 @@ mod fault_tests {
         let mut reqs = Vec::new();
         for (i, &(d, range)) in mapped.iter().enumerate() {
             let out = drv.iommu.unmap_range_in(d, range).unwrap();
-            drv.audit.on_unmap(d, range);
-            drv.audit.on_pt_reclaimed(d, &out.reclaimed);
+            drv.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
             reqs.push(InvalidationRequest {
                 range,
                 scope: scopes[i % scopes.len()],
@@ -2567,16 +2445,15 @@ mod fault_tests {
     /// Everything a submission can touch, rendered for comparison.
     fn submission_state(drv: &DmaDriver) -> String {
         format!(
-            "{:?} {:?} {:?} {:?} {} {:?} {:?} {:?} {:?} {}",
+            "{:?} {:?} {:?} {:?} {:?} {:?} {:?} {:?} {}",
             drv.iommu.stats(),
             drv.iommu.domain_stats(),
             drv.pending_wipe_epochs,
             drv.pending_wipe_reqs,
-            drv.invalidation_cpu_ns,
             drv.spans,
-            drv.trace.drain(),
-            drv.audit().report(),
-            drv.obs.dump(),
+            drv.tap.trace().drain(),
+            drv.tap.audit_report(),
+            drv.tap.dump(),
             drv.inv_submit_seq,
         )
     }
@@ -2620,7 +2497,7 @@ mod fault_tests {
                 // Strict modes promise invalidation at unmap: the oracle
                 // must pass the clean submission and catch a seeded skip.
                 if mode.is_strict_safe() {
-                    let report = whole.audit().report();
+                    let report = whole.tap.audit_report();
                     assert_eq!(
                         report.is_clean(),
                         sabotage == Sabotage::None,

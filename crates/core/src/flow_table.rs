@@ -168,17 +168,18 @@ impl<T> FlowTable<T> {
             .filter_map(|v| v.as_mut())
     }
 
-    /// Serializes the table as `(flow, value)` pairs in ascending flow-id
-    /// order for checkpointing.
+    /// Serializes both segments slot by slot for checkpointing, so a
+    /// restore allocates no more slots than the snapshot spells out.
     pub fn snap_with(
         &self,
         w: &mut fns_snap::SnapWriter,
         mut f: impl FnMut(&mut fns_snap::SnapWriter, &T),
     ) {
-        w.seq(self.len);
-        for (flow, v) in self.iter() {
-            w.u32(flow.0);
-            f(w, v);
+        for seg in [&self.low, &self.high] {
+            w.seq(seg.len());
+            for slot in seg {
+                w.opt(slot, &mut f);
+            }
         }
     }
 
@@ -187,12 +188,15 @@ impl<T> FlowTable<T> {
         r: &mut fns_snap::SnapReader,
         mut f: impl FnMut(&mut fns_snap::SnapReader) -> Result<T, fns_snap::SnapError>,
     ) -> Result<Self, fns_snap::SnapError> {
-        let n = r.seq()?;
         let mut t = Self::new();
-        for _ in 0..n {
-            let flow = FlowId(r.u32()?);
-            let v = f(r)?;
-            t.insert(flow, v);
+        for high in [false, true] {
+            let n = r.seq()?;
+            let mut seg = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                seg.push(r.opt(&mut f)?);
+            }
+            t.len += seg.iter().flatten().count();
+            *t.segment_mut(high) = seg;
         }
         Ok(t)
     }

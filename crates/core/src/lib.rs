@@ -13,6 +13,9 @@
 //! * [`resources`] — serial resources (CPU cores, the translation pipe),
 //! * [`sim`] — the discrete-event host simulation (NIC → IOMMU → memory →
 //!   transport → ACKs, with a peer host and a switch),
+//! * [`tap`] — the one instrumentation tap: each DMA-lifecycle event is
+//!   reported once and fans out to the trace ring, the observers and the
+//!   safety oracle,
 //! * [`metrics`] — per-run results in the units the paper reports,
 //! * [`model`] — the analytical throughput model `T = p / (l0 + M·lm)`
 //!   of §2.2.
@@ -27,6 +30,7 @@ pub mod model;
 pub mod resources;
 pub mod shard;
 pub mod sim;
+pub mod tap;
 pub mod watchdog;
 
 pub use config::{CpuCosts, SimConfig, Topology, Workload};
@@ -36,4 +40,5 @@ pub use metrics::RunMetrics;
 pub use mode::ProtectionMode;
 pub use shard::{plan_shards, Engine, ShardSpec, ShardedSim};
 pub use sim::{HostSim, RunArena};
+pub use tap::{DmaEvent, Tap};
 pub use watchdog::{WatchdogConfig, WatchdogReport};

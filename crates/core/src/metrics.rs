@@ -53,13 +53,13 @@ pub struct RunMetrics {
     pub locality_distances: Vec<Option<u64>>,
     /// Total driver datapath CPU ns — IOVA allocation, map/unmap, *and*
     /// invalidation-queue waits — over the **whole run** (warmup included,
-    /// unlike the windowed counters above). Kept for continuity; equals
-    /// `spans.total_ns()`, which breaks the same charges into disjoint
-    /// buckets. The windowing rule is documented once in DESIGN.md §9.
+    /// unlike the windowed counters above): `spans.total_ns()`, read off
+    /// the driver's one CPU ledger at collection. The windowing rule is
+    /// documented once in DESIGN.md §9.
     pub map_cpu_ns: u64,
     /// The invalidation-attributed subset of `map_cpu_ns` (queue waits +
-    /// fault-recovery retries), also whole-run. Not additive with
-    /// `map_cpu_ns`; equals `spans.invalidation_ns()`.
+    /// fault-recovery retries), also whole-run: `spans.invalidation_ns()`.
+    /// Not additive with `map_cpu_ns`.
     pub invalidation_cpu_ns: u64,
     /// Disjoint CPU-span attribution of the driver datapath (whole-run,
     /// same windowing as `map_cpu_ns`): alloc / map / unmap /
@@ -559,15 +559,12 @@ impl RunMetrics {
     }
 
     fn merge_registry(parts: &[RunMetrics]) -> RegistryReport {
+        // Stats merge exactly (bucket sums), in the canonical key order the
+        // monolithic registry reports in.
         let mut out = RegistryReport::default();
         for p in parts {
-            out.enabled |= p.registry.enabled;
-            out.stats.extend(p.registry.stats.iter().cloned());
+            out.merge_stats(&p.registry);
         }
-        // Restore the canonical (metric, domain, flow) key order the
-        // monolithic registry reports in. Keys are disjoint across shards
-        // (flow == core, and cores partition), so no folding is needed.
-        out.stats.sort_by_key(|s| (s.metric, s.domain, s.flow));
         let longest = parts.iter().map(|p| p.registry.series.len()).max();
         for i in 0..longest.unwrap_or(0) {
             let mut merged: Option<fns_trace::RegSample> = None;

@@ -32,13 +32,15 @@ use fns_net::switchq::SwitchQueue;
 use fns_nic::buffer::NicBuffer;
 use fns_nic::descriptor::{Descriptor, DescriptorPage};
 use fns_nic::ring::RxRing;
-use fns_oracle::AuditHandle;
 use fns_sim::queue::EventQueue;
 use fns_sim::rng::SimRng;
 use fns_sim::stats::Histogram;
 use fns_sim::time::Nanos;
 use fns_snap::{fnv1a, SnapError, SnapReader, SnapWriter};
-use fns_trace::{ObsHandle, Sample, Sampler, Trace, TraceCategory, TraceData, TraceHandle};
+use fns_trace::{
+    Sample, Sampler, Trace, TraceCategory, TraceData, TraceHandle, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_TRACE_CAPACITY,
+};
 
 use crate::config::{CpuCosts, SimConfig, Topology, Workload};
 use crate::driver::{DmaDriver, DriverSalvage, Sabotage};
@@ -46,6 +48,7 @@ use crate::flow_table::{FlowSet, FlowTable};
 use crate::metrics::RunMetrics;
 use crate::mode::ProtectionMode;
 use crate::resources::SerialResource;
+use crate::tap::{DmaEvent, Tap};
 use crate::watchdog::WatchdogState;
 
 /// Packets the NIC keeps in the translation pipe concurrently (the ~100
@@ -223,7 +226,7 @@ impl Ev {
                 let mut pages = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
                     pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
+                        iova: Iova::unsnap(r)?,
                         pa: PhysAddr::new(r.u64()?),
                     });
                 }
@@ -249,7 +252,7 @@ impl Ev {
                 let mut pages = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
                     pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
+                        iova: Iova::unsnap(r)?,
                         pa: PhysAddr::new(r.u64()?),
                     });
                 }
@@ -291,7 +294,7 @@ impl RingState {
     fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(Self {
             ring: RxRing::unsnap(r)?,
-            open: r.opt(|r| Ok((Iova::new(r.u64()?), r.u64()?)))?,
+            open: r.opt(|r| Ok((Iova::unsnap(r)?, r.u64()?)))?,
             closed_in_front: r.usize()?,
         })
     }
@@ -363,7 +366,7 @@ impl NapiState {
             let mut pages = Vec::with_capacity(m.min(1 << 16));
             for _ in 0..m {
                 pages.push(DescriptorPage {
-                    iova: Iova::new(r.u64()?),
+                    iova: Iova::unsnap(r)?,
                     pa: PhysAddr::new(r.u64()?),
                 });
             }
@@ -767,13 +770,11 @@ pub struct HostSim {
     /// Fault plane for the wire (switch-queue) sites. The driver-side plane
     /// lives inside [`DmaDriver`].
     net_faults: FaultPlane,
-    /// Event-trace recorder handle. `Off` unless tracing is requested or a
-    /// fault plane is enabled (fault records flow through the trace); the
-    /// driver and both fault planes hold clones of the same recorder.
-    trace: TraceHandle,
-    /// Causal observability plane (provenance/txn/registry); `Off` unless
-    /// `cfg.observe` arms a layer. The driver holds a clone.
-    obs: ObsHandle,
+    /// The instrumentation tap: trace ring, observers and oracle. `Off`
+    /// unless tracing, observing or auditing is requested or a fault plane
+    /// is enabled (fault records flow through the trace ring). The driver
+    /// holds a clone; both fault planes hold clones of its trace ring.
+    tap: Tap,
     /// Time-series gauge sampler (disabled unless `cfg.probes` enables it).
     sampler: Sampler,
     /// Degradation-watchdog state (inert unless `cfg.watchdog` enables it).
@@ -904,8 +905,7 @@ impl HostSim {
             snapshot: Snapshot::default(),
             warmed_up: false,
             net_faults: FaultPlane::disabled(),
-            trace: TraceHandle::default(),
-            obs: ObsHandle::default(),
+            tap: Tap::Off,
             sampler: Sampler::new(cfg.probes),
             wd: WatchdogState::default(),
             scratch: Scratch::default(),
@@ -922,7 +922,7 @@ impl HostSim {
                 sim.cfg.deferred_flush_threshold as u64 + sim.cfg.pages_per_descriptor as u64;
             let contract = sim.cfg.mode.contract(window);
             sim.drv
-                .set_audit(AuditHandle::recording(contract, sim.cfg.audit.fatal));
+                .set_tap(Tap::auditing(contract, sim.cfg.audit.fatal));
         }
         // Seeded driver bugs arm before init so sabotages in pinned/huge
         // modes (whose mappings happen at init) can trigger. `None` — the
@@ -937,14 +937,19 @@ impl HostSim {
             }
         }
         sim.init();
-        // Create the trace recorder only after init: ring-fill and aging
-        // churn stay untraced so the recorder starts at the same point the
-        // fault planes do. Fault records always flow through the trace
-        // (RunMetrics::fault_log is a filtered view of it), so an enabled
-        // fault plane forces the Fault category on with enough capacity to
-        // hold every record the chaos suites expect.
+        // Arm the rest of the tap only after init: ring-fill and aging
+        // churn stay untraced and unobserved, so the trace ring starts at
+        // the same point the fault planes do and provenance timelines and
+        // transaction spans describe steady state. Fault records always
+        // flow through the trace ring (RunMetrics::fault_log is a filtered
+        // view of it), so an enabled fault plane forces the Fault category
+        // on with enough capacity to hold every record the chaos suites
+        // expect. The flight recorder rides inside the trace handle:
+        // arming it creates a recording handle even with an empty category
+        // mask (which records nothing to the main ring, so drained traces
+        // stay identical to an untraced run).
         let mut mask = sim.cfg.trace.mask & TraceCategory::ALL_MASK;
-        let mut capacity = sim.cfg.trace.capacity as usize;
+        let mut capacity = DEFAULT_TRACE_CAPACITY as usize;
         if sim.cfg.faults.any_enabled() {
             mask |= TraceCategory::Fault.bit();
             capacity = capacity.max(fns_faults::LOG_CAP);
@@ -952,30 +957,18 @@ impl HostSim {
         if sim.cfg.audit.enabled && mask != 0 {
             mask |= TraceCategory::Audit.bit();
         }
-        // The flight recorder rides inside the trace handle: arming it
-        // creates a recording handle even with an empty category mask (an
-        // empty mask records nothing to the main ring, so drained traces
-        // stay identical to an untraced run).
-        let flight_cap = if sim.cfg.observe.flight {
-            sim.cfg.observe.flight_capacity.max(1) as usize
+        let flight = if sim.cfg.observe.flight {
+            DEFAULT_FLIGHT_CAPACITY as usize
         } else {
             0
         };
-        if mask != 0 || flight_cap > 0 {
-            sim.trace = TraceHandle::recording_with_flight(mask, capacity, flight_cap);
-            sim.drv.set_trace(sim.trace.clone());
-            // No-op unless auditing is on: violations then land in the
-            // trace as audit_violation events alongside the datapath's.
-            sim.drv.audit().set_trace(sim.trace.clone());
-        }
-        // The observer installs after init, like the trace plane:
-        // provenance timelines and transaction spans describe steady
-        // state, not ring-fill churn. It only reads the simulation, so
-        // armed runs stay bit-identical to bare runs.
-        if sim.cfg.observe.any() {
-            sim.obs = ObsHandle::recording(sim.cfg.observe);
-            sim.drv.set_obs(sim.obs.clone());
-        }
+        let trace = if mask != 0 || flight > 0 {
+            TraceHandle::recording_with_flight(mask, capacity, flight)
+        } else {
+            TraceHandle::Off
+        };
+        sim.tap = sim.drv.take_tap().arm(trace, &sim.cfg.observe);
+        sim.drv.set_tap(sim.tap.clone());
         // Install the fault planes only after init: ring fill and aging
         // churn run fault-free so every configuration starts from the same
         // state, and the planes' forked RNG streams leave the workload
@@ -987,7 +980,7 @@ impl HostSim {
                 DRIVER_FAULT_SALT,
             ));
             sim.net_faults = FaultPlane::from_seed(sim.cfg.faults, sim.cfg.seed, NET_FAULT_SALT);
-            sim.net_faults.set_trace(sim.trace.clone());
+            sim.net_faults.set_trace(sim.tap.trace());
         }
         if sim.sampler.enabled() {
             sim.q.push(sim.sampler.interval_ns(), Ev::Sample);
@@ -1543,8 +1536,7 @@ impl HostSim {
         q.set_counters(qnow, popped, seq);
         self.q = q;
         self.drv.snap(&mut w);
-        self.drv.audit().snap(&mut w);
-        self.trace.snap(&mut w);
+        self.tap.snap(&mut w);
         w.seq(self.rings.len());
         for rs in &self.rings {
             rs.snap(&mut w);
@@ -1614,7 +1606,6 @@ impl HostSim {
         self.net_faults.snap(&mut w);
         self.sampler.snap(&mut w);
         self.wd.snap(&mut w);
-        self.obs.snap(&mut w);
         w.finish()
     }
 
@@ -1647,8 +1638,7 @@ impl HostSim {
         }
         q.set_counters(qnow, popped, seq);
         let mut drv = DmaDriver::unsnap(&mut r, cfg.mode, cfg.cpu, cfg.faults)?;
-        drv.set_audit(AuditHandle::unsnap(&mut r)?);
-        let trace = TraceHandle::unsnap(&mut r)?;
+        let tap = Tap::unsnap(&mut r)?;
         let n = r.seq()?;
         let mut rings = Vec::with_capacity(n.min(1 << 10));
         for _ in 0..n {
@@ -1685,7 +1675,7 @@ impl HostSim {
                 let mut pages = Vec::with_capacity(k.min(1 << 16));
                 for _ in 0..k {
                     pages.push(DescriptorPage {
-                        iova: Iova::new(r.u64()?),
+                        iova: Iova::unsnap(&mut r)?,
                         pa: PhysAddr::new(r.u64()?),
                     });
                 }
@@ -1730,14 +1720,11 @@ impl HostSim {
         let mut net_faults = FaultPlane::unsnap(cfg.faults, &mut r)?;
         let sampler = Sampler::unsnap(&mut r)?;
         let wd = WatchdogState::unsnap(&mut r)?;
-        let obs = ObsHandle::unsnap(&mut r)?;
         r.done()?;
-        // Reattach the shared trace recorder everywhere the original held a
-        // clone (the driver hands its own clone on to its fault plane).
-        drv.set_trace(trace.clone());
-        drv.audit().set_trace(trace.clone());
-        net_faults.set_trace(trace.clone());
-        drv.set_obs(obs.clone());
+        // Reattach the tap everywhere the original held a clone (the
+        // driver hands its trace ring on to its fault plane).
+        drv.set_tap(tap.clone());
+        net_faults.set_trace(tap.trace());
         Ok(Self {
             cfg,
             q,
@@ -1784,8 +1771,7 @@ impl HostSim {
             snapshot,
             warmed_up,
             net_faults,
-            trace,
-            obs,
+            tap,
             sampler,
             wd,
             scratch: Scratch::default(),
@@ -1840,8 +1826,7 @@ impl HostSim {
     // ----- event dispatch --------------------------------------------------
 
     fn handle(&mut self, now: Nanos, ev: Ev) {
-        self.trace.set_now(now);
-        self.obs.set_now(now);
+        self.tap.set_now(now);
         match ev {
             Ev::PeerPump(flow) => self.peer_pump(now, flow),
             Ev::ToDutDrain => self.drain_to_dut(now),
@@ -1931,7 +1916,7 @@ impl HostSim {
     /// The soak bisector reads this between checkpoint boundaries to
     /// localize a mid-soak violation without waiting for [`RunMetrics`].
     pub fn audit_violations(&self) -> u64 {
-        self.drv.audit().violations()
+        self.tap.audit_report().violations
     }
 
     /// Deterministic provenance explanation for one IOVA pfn, rendered
@@ -1939,20 +1924,20 @@ impl HostSim {
     /// it). This is the `--explain-page` backend and is also called on
     /// the failure-artifact path while the simulation still exists.
     pub fn explain_page(&self, pfn: u64) -> Option<String> {
-        self.obs.explain_page(pfn)
+        self.tap.explain_page(pfn)
     }
 
     /// Distinct pfns anchoring sampled oracle violations so far (empty
     /// when auditing is off or clean).
     pub fn violating_pfns(&self) -> Vec<u64> {
-        self.drv.audit().report().violating_pfns()
+        self.tap.audit_report().violating_pfns()
     }
 
     /// Non-consuming view of the flight-recorder crash ring (empty when
     /// `cfg.observe.flight` never armed it). Used by abort/crash paths to
     /// flush evidence while the run is still live.
     pub fn flight_view(&self) -> Trace {
-        self.trace.flight_view()
+        self.tap.trace().flight_view()
     }
 
     /// Arms a seeded driver bug (test/soak-bisect corpus only; see
@@ -1987,28 +1972,7 @@ impl HostSim {
             iova_free_spans,
             iova_largest_free_run,
         };
-        // The registry's occupancy gauges ride the sampler cadence: same
-        // probes, percentile-bucketed instead of time-series-boxed.
-        let domains = self.drv.iommu.domain_stats().len();
-        if domains <= 1 {
-            self.obs.gauge_sample(
-                now,
-                self.drv.iommu.domain_id(),
-                sample.ring_occupancy as u64,
-                sample.inv_queue_depth as u64,
-            );
-        } else {
-            // Per-tenant gauges: each domain's own queue occupancy against
-            // the shared invalidation backlog.
-            for d in 0..domains as u16 {
-                let occ: u64 = (0..self.ring_count())
-                    .filter(|&r| self.ring_domain(r) == d)
-                    .map(|r| self.rings[r].ring.len() as u64)
-                    .sum();
-                self.obs
-                    .gauge_sample(now, d, occ, sample.inv_queue_depth as u64);
-            }
-        }
+        self.tap.sample_series(now);
         let pushed = self.sampler.push(sample);
         let next = now + self.sampler.interval_ns();
         if pushed && next <= self.cfg.end_time() {
@@ -2303,6 +2267,11 @@ impl HostSim {
         let mut exhausted = false;
         while r < nrings && !exhausted {
             let dom = self.ring_domain(r);
+            self.tap.emit(DmaEvent::RingPolled {
+                d: dom,
+                core: core as u32,
+                occupancy: self.rings[r].ring.len() as u64,
+            });
             while self.rings[r].ring.needs_replenish() && self.rings[r].ring.free_slots() > 0 {
                 let (d, c) = match self.drv.prepare_rx_descriptor_in(dom, core) {
                     Ok(dc) => dc,
@@ -2324,9 +2293,8 @@ impl HostSim {
                     // it (unmap + invalidate + free) so no resources leak,
                     // charge the recycle to this poll, and count the lost
                     // slot.
-                    if self.trace.wants(TraceCategory::Ring) {
-                        self.trace.emit(TraceData::RingOverrun { core: core as u8 });
-                    }
+                    self.tap
+                        .emit(DmaEvent::Trace(TraceData::RingOverrun { core: core as u8 }));
                     cpu += self
                         .drv
                         .complete_rx_descriptor_in(dom, core, &d)
@@ -2338,9 +2306,8 @@ impl HostSim {
                     exhausted = true;
                     break;
                 }
-                if self.trace.wants(TraceCategory::Ring) {
-                    self.trace.emit(TraceData::RingPost { core: core as u8 });
-                }
+                self.tap
+                    .emit(DmaEvent::Trace(TraceData::RingPost { core: core as u8 }));
             }
             r += self.cfg.cores;
         }
@@ -2356,10 +2323,9 @@ impl HostSim {
         // 2b. Rx descriptor completions: unmap, invalidate, recycle.
         while let Some((dom, d)) = self.napi[core].desc_done.pop_front() {
             let probe = d.pages()[0].iova;
-            if self.trace.wants(TraceCategory::Ring) {
-                self.trace
-                    .emit(TraceData::RingComplete { core: core as u8 });
-            }
+            self.tap.emit(DmaEvent::Trace(TraceData::RingComplete {
+                core: core as u8,
+            }));
             cpu += self
                 .drv
                 .complete_rx_descriptor_in(dom, core, &d)
@@ -3019,10 +2985,10 @@ impl HostSim {
         let faults = self.drv.faults().stats().merge(&self.net_faults.stats());
         // Drain the shared recorder once; the fault log is its filtered
         // view (chronological across the driver and wire planes).
-        let trace = self.trace.drain();
+        let trace = self.tap.trace().drain();
         let fault_log = fns_faults::fault_log_from(&trace);
-        let (provenance, txns, registry) = self.obs.dump();
-        let flight = self.trace.drain_flight();
+        let (provenance, txns, registry) = self.tap.dump();
+        let flight = self.tap.trace().drain_flight();
         let zero = fns_iommu::DomainStats::default();
         let domains: Vec<fns_iommu::DomainStats> = self
             .drv
@@ -3053,15 +3019,15 @@ impl HostSim {
             cpu_utilization,
             latency: self.latency,
             locality_distances: self.drv.locality.distances()[snap.locality_mark..].to_vec(),
-            map_cpu_ns: self.drv.map_cpu_ns,
-            invalidation_cpu_ns: self.drv.invalidation_cpu_ns,
+            map_cpu_ns: self.drv.spans.total_ns(),
+            invalidation_cpu_ns: self.drv.spans.invalidation_ns(),
             spans: self.drv.spans,
             events_processed: self.q.total_popped(),
             faults,
             fault_log,
             samples: self.sampler.take(),
             trace,
-            audit: self.drv.audit().report(),
+            audit: self.tap.audit_report(),
             watchdog: self.wd.report,
             provenance,
             txns,

@@ -25,10 +25,10 @@
 
 use std::collections::VecDeque;
 
-use fns_core::{CpuCosts, DmaDriver, ProtectionMode, Sabotage};
+use fns_core::{CpuCosts, DmaDriver, ProtectionMode, Sabotage, Tap};
 use fns_iommu::IommuConfig;
 use fns_nic::descriptor::DescriptorPage;
-use fns_oracle::{AuditHandle, AuditReport, Invariant};
+use fns_oracle::{AuditReport, Invariant};
 use fns_sim::rng::SimRng;
 
 /// Cap on concurrently live Rx descriptors / Tx packets in a replay.
@@ -142,7 +142,7 @@ pub fn replay(cfg: MbtConfig, ops: &[Op]) -> AuditReport {
         0,
         cfg.desc_pages,
     );
-    drv.set_audit(AuditHandle::recording(
+    drv.set_tap(Tap::auditing(
         cfg.mode.contract(cfg.deferred_window()),
         false,
     ));
@@ -228,7 +228,7 @@ pub fn replay(cfg: MbtConfig, ops: &[Op]) -> AuditReport {
             }
         }
     }
-    drv.audit().report()
+    drv.tap().audit_report()
 }
 
 /// Generates a seeded random op sequence of length `len`.

@@ -67,6 +67,9 @@ pub struct Lru64<V: Copy> {
     capacity: usize,
 }
 
+/// Largest capacity [`Lru64::unsnap_with`] accepts.
+const MAX_RESTORED_CAPACITY: usize = 1 << 20;
+
 impl<V: Copy> Lru64<V> {
     /// Creates a cache holding at most `capacity` entries.
     ///
@@ -324,6 +327,14 @@ impl<V: Copy> Lru64<V> {
         mut f: impl FnMut(&mut fns_snap::SnapReader) -> Result<V, fns_snap::SnapError>,
     ) -> Result<Self, fns_snap::SnapError> {
         let capacity = r.usize()?;
+        // Real caches hold thousands of entries; a zero or absurd capacity
+        // is corruption, refused before it sizes the table.
+        if capacity == 0 || capacity > MAX_RESTORED_CAPACITY {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "LRU capacity",
+                tag: capacity as u64,
+            });
+        }
         let n = r.seq()?;
         let mut pairs = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {

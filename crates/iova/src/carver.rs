@@ -108,10 +108,8 @@ impl ChunkCarver {
 
     /// Rebuilds a carver captured by [`ChunkCarver::snap`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let base = Iova::new(r.u64()?);
-        let pages = r.u64()?;
         Ok(Self {
-            range: IovaRange::new(base, pages),
+            range: IovaRange::unsnap(r)?,
             next: r.u64()?,
             unmapped: r.u64()?,
         })

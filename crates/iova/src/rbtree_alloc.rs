@@ -180,6 +180,12 @@ impl RbTreeAllocator {
         for _ in 0..n {
             let lo = r.u64()?;
             let hi = r.u64()?;
+            if lo > hi {
+                return Err(SnapError::BadTag {
+                    what: "inverted iova range",
+                    tag: lo,
+                });
+            }
             tree.insert(lo, hi).map_err(|_| SnapError::BadTag {
                 what: "overlapping iova range",
                 tag: lo,

@@ -45,6 +45,18 @@ impl Iova {
         self.0
     }
 
+    /// Decodes an IOVA written as its raw value, refusing one beyond 48
+    /// bits instead of panicking.
+    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
+        match r.u64()? {
+            raw if raw < IOVA_SPACE_TOP => Ok(Self(raw)),
+            raw => Err(fns_snap::SnapError::BadTag {
+                what: "iova",
+                tag: raw,
+            }),
+        }
+    }
+
     /// IOVA page frame number.
     pub const fn pfn(self) -> u64 {
         self.0 >> PAGE_SHIFT
@@ -137,6 +149,24 @@ impl IovaRange {
             "IOVA range exceeds address space"
         );
         Self { base, pages }
+    }
+
+    /// Decodes a range written as base address then page count, refusing
+    /// one [`IovaRange::new`] would reject instead of panicking.
+    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
+        let base = Iova::unsnap(r)?;
+        let pages = r.u64()?;
+        let fits = pages
+            .checked_mul(PAGE_SIZE)
+            .and_then(|len| base.as_u64().checked_add(len))
+            .is_some_and(|top| top <= IOVA_SPACE_TOP);
+        if !base.as_u64().is_multiple_of(PAGE_SIZE) || pages == 0 || !fits {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "iova range",
+                tag: base.as_u64(),
+            });
+        }
+        Ok(Self { base, pages })
     }
 
     /// First address of the range.

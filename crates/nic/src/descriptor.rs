@@ -121,7 +121,7 @@ impl Descriptor {
         let mut pages = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             pages.push(DescriptorPage {
-                iova: Iova::new(r.u64()?),
+                iova: Iova::unsnap(r)?,
                 pa: PhysAddr::new(r.u64()?),
             });
         }

@@ -27,13 +27,11 @@
 //! no caching tricks, no shared code with the production-path crates it
 //! audits. Divergence between the two implementations is the signal.
 //!
-//! Hook dispatch follows the `TraceHandle` idiom: [`AuditHandle`] is an
-//! enum whose `Off` variant reduces every hook to one discriminant branch,
-//! so audit-off simulations pay nothing measurable.
+//! The oracle is one sink of the simulation's event tap (`fns_core::tap`),
+//! whose `Off` variant reduces every hook to one discriminant branch, so
+//! audit-off simulations pay nothing measurable.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
 
 use fns_iommu::pagetable::ReclaimedPage;
 use fns_iommu::{InvalidationRequest, InvalidationScope, Iommu};
@@ -325,46 +323,6 @@ impl AuditReport {
         }
         s
     }
-}
-
-/// The hook surface the instrumented datapath drives. `SafetyOracle` is
-/// the only production implementation; the trait exists so the audited
-/// code depends on the hook contract, not the model's internals, and so
-/// tests can substitute counting stubs.
-pub trait SafetyAuditor {
-    /// An IOVA range left the allocator.
-    fn on_alloc(&mut self, range: IovaRange);
-    /// An IOVA range returned to the allocator.
-    fn on_free(&mut self, range: IovaRange);
-    /// Domain `d` mapped a 4K page at `pa`.
-    fn on_map(&mut self, d: u16, iova: Iova, pa: PhysAddr);
-    /// Domain `d` mapped a 2MB-aligned 512-page span starting at `pa_base`.
-    fn on_map_huge(&mut self, d: u16, base: Iova, pa_base: PhysAddr);
-    /// A range was unmapped from domain `d` by the datapath (device may
-    /// still race it).
-    fn on_unmap(&mut self, d: u16, range: IovaRange);
-    /// A range was unmapped from domain `d` during error unwind, before
-    /// any device access could have observed it.
-    fn on_unwound(&mut self, d: u16, range: IovaRange);
-    /// A synchronous IOTLB invalidation scoped to domain `d` covered
-    /// `range`.
-    fn on_invalidate(&mut self, d: u16, range: IovaRange);
-    /// A global invalidation (IOTLB + PTcaches, every domain) completed.
-    fn on_invalidate_all(&mut self);
-    /// Unmapping reclaimed these page-table pages of domain `d`.
-    fn on_pt_reclaimed(&mut self, d: u16, reclaimed: &[ReclaimedPage]);
-    /// The PTcache fixup for these reclaimed PT pages of domain `d`
-    /// completed.
-    fn on_reclaim_fixup(&mut self, d: u16, reclaimed: &[ReclaimedPage]);
-    /// A PTcache-wipe epoch was queued on the invalidation queue.
-    fn on_wipe_queued(&mut self);
-    /// A queued PTcache-wipe epoch was applied (each request names its
-    /// domain).
-    fn on_wipe_applied(&mut self, epoch: &[InvalidationRequest]);
-    /// A device in domain `d` translated `iova`; `pa` is the outcome and
-    /// `stale_walks` how many reclaimed PT pages the real walk consulted
-    /// while serving it (ground truth from the IOMMU model).
-    fn on_translate(&mut self, d: u16, iova: Iova, pa: Option<PhysAddr>, stale_walks: u64);
 }
 
 /// The naive reference model. See the crate docs for the invariants.
@@ -767,8 +725,10 @@ impl SafetyOracle {
     }
 }
 
-impl SafetyAuditor for SafetyOracle {
-    fn on_alloc(&mut self, range: IovaRange) {
+/// The hooks the instrumented datapath drives (through `fns_core::tap`).
+impl SafetyOracle {
+    /// An IOVA range left the allocator.
+    pub fn on_alloc(&mut self, range: IovaRange) {
         self.ops += 1;
         let lo = range.pfn_lo();
         if let Some((&base, &pages)) = self.live_iova.range(..=range.pfn_hi()).next_back() {
@@ -789,7 +749,8 @@ impl SafetyAuditor for SafetyOracle {
         self.live_iova.insert(lo, range.pages());
     }
 
-    fn on_free(&mut self, range: IovaRange) {
+    /// An IOVA range returned to the allocator.
+    pub fn on_free(&mut self, range: IovaRange) {
         self.ops += 1;
         let lo = range.pfn_lo();
         match self.live_iova.remove(&lo) {
@@ -812,7 +773,8 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_map(&mut self, d: u16, iova: Iova, pa: PhysAddr) {
+    /// Domain `d` mapped a 4K page at `pa`.
+    pub fn on_map(&mut self, d: u16, iova: Iova, pa: PhysAddr) {
         self.ops += 1;
         let pk = dkey(d, iova.pfn());
         self.pages.insert(
@@ -829,7 +791,8 @@ impl SafetyAuditor for SafetyOracle {
         self.pending_inval.remove(&pk);
     }
 
-    fn on_map_huge(&mut self, d: u16, base: Iova, pa_base: PhysAddr) {
+    /// Domain `d` mapped a 2MB-aligned 512-page span starting at `pa_base`.
+    pub fn on_map_huge(&mut self, d: u16, base: Iova, pa_base: PhysAddr) {
         for i in 0..L4_SPAN_PFNS {
             self.ops += 1;
             let iova = base.add(i << 12);
@@ -846,7 +809,9 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_unmap(&mut self, d: u16, range: IovaRange) {
+    /// A range was unmapped from domain `d` by the datapath (device may
+    /// still race it).
+    pub fn on_unmap(&mut self, d: u16, range: IovaRange) {
         if !self.contract.unmaps && self.contract.translates {
             self.record(
                 Invariant::MappingIntegrity,
@@ -880,7 +845,9 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_unwound(&mut self, d: u16, range: IovaRange) {
+    /// A range was unmapped from domain `d` during error unwind, before
+    /// any device access could have observed it.
+    pub fn on_unwound(&mut self, d: u16, range: IovaRange) {
         // Unwound pages were mapped and torn down inside one driver call;
         // no device access can have cached them, so they carry no pending
         // invalidation. Strict modes still invalidate defensively — model
@@ -894,7 +861,9 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_invalidate(&mut self, d: u16, range: IovaRange) {
+    /// A synchronous IOTLB invalidation scoped to domain `d` covered
+    /// `range`.
+    pub fn on_invalidate(&mut self, d: u16, range: IovaRange) {
         self.ops += 1;
         for iova in range.iter_pages() {
             self.invalidate_pfn(dkey(d, iova.pfn()));
@@ -902,7 +871,8 @@ impl SafetyAuditor for SafetyOracle {
         self.invalidate_covered_huge(d, range);
     }
 
-    fn on_invalidate_all(&mut self) {
+    /// A global invalidation (IOTLB + PTcaches, every domain) completed.
+    pub fn on_invalidate_all(&mut self) {
         self.ops += 1;
         let backlog: Vec<u64> = self.pending_inval.iter().cloned().collect();
         for pfn in backlog {
@@ -918,7 +888,8 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_pt_reclaimed(&mut self, d: u16, reclaimed: &[ReclaimedPage]) {
+    /// Unmapping reclaimed these page-table pages of domain `d`.
+    pub fn on_pt_reclaimed(&mut self, d: u16, reclaimed: &[ReclaimedPage]) {
         for r in reclaimed {
             self.ops += 1;
             self.pending_reclaim
@@ -926,7 +897,9 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_reclaim_fixup(&mut self, d: u16, reclaimed: &[ReclaimedPage]) {
+    /// The PTcache fixup for these reclaimed PT pages of domain `d`
+    /// completed.
+    pub fn on_reclaim_fixup(&mut self, d: u16, reclaimed: &[ReclaimedPage]) {
         for r in reclaimed {
             self.ops += 1;
             self.pending_reclaim
@@ -937,11 +910,14 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_wipe_queued(&mut self) {
+    /// A PTcache-wipe epoch was queued on the invalidation queue.
+    pub fn on_wipe_queued(&mut self) {
         self.epochs_queued += 1;
     }
 
-    fn on_wipe_applied(&mut self, epoch: &[InvalidationRequest]) {
+    /// A queued PTcache-wipe epoch was applied (each request names its
+    /// domain).
+    pub fn on_wipe_applied(&mut self, epoch: &[InvalidationRequest]) {
         self.epochs_applied += 1;
         if self.epochs_applied > self.epochs_queued {
             self.record(
@@ -968,7 +944,10 @@ impl SafetyAuditor for SafetyOracle {
         }
     }
 
-    fn on_translate(&mut self, d: u16, iova: Iova, pa: Option<PhysAddr>, stale_walks: u64) {
+    /// A device in domain `d` translated `iova`; `pa` is the outcome and
+    /// `stale_walks` how many reclaimed PT pages the real walk consulted
+    /// while serving it (ground truth from the IOMMU model).
+    pub fn on_translate(&mut self, d: u16, iova: Iova, pa: Option<PhysAddr>, stale_walks: u64) {
         if !self.contract.translates {
             return;
         }
@@ -1137,172 +1116,6 @@ impl SafetyAuditor for SafetyOracle {
                 // deferred window. Allowed; bounded by deferred_window.
             }
             (Some(PageState::Unmapped { .. }), None) => {}
-        }
-    }
-}
-
-/// Enum-dispatch handle held by the driver, mirroring `TraceHandle`:
-/// `Off` (the default) makes every hook one discriminant branch.
-#[derive(Debug, Clone, Default)]
-pub enum AuditHandle {
-    /// No auditing; every hook is a no-op.
-    #[default]
-    Off,
-    /// Auditing through a shared [`SafetyOracle`].
-    On(Rc<RefCell<SafetyOracle>>),
-}
-
-macro_rules! forward {
-    ($self:ident, $($call:tt)*) => {
-        if let AuditHandle::On(o) = $self {
-            o.borrow_mut().$($call)*;
-        }
-    };
-}
-
-impl AuditHandle {
-    /// An auditing handle over a fresh oracle for `contract`.
-    pub fn recording(contract: ModeContract, fatal: bool) -> Self {
-        AuditHandle::On(Rc::new(RefCell::new(SafetyOracle::new(contract, fatal))))
-    }
-
-    /// Whether any oracle is attached.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        matches!(self, AuditHandle::On(_))
-    }
-
-    /// Attach a trace ring to the oracle (no-op when off).
-    pub fn set_trace(&self, trace: TraceHandle) {
-        forward!(self, set_trace(trace));
-    }
-
-    /// Serializes the handle (and the oracle behind it) for checkpointing.
-    pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        match self {
-            AuditHandle::Off => w.u8(0),
-            AuditHandle::On(o) => {
-                w.u8(1);
-                o.borrow().snap(w);
-            }
-        }
-    }
-
-    /// Rebuilds a handle captured by [`AuditHandle::snap`]. Clone the
-    /// result into every component that held the original, and reattach
-    /// the trace ring with [`AuditHandle::set_trace`].
-    pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(AuditHandle::Off),
-            1 => Ok(AuditHandle::On(Rc::new(RefCell::new(
-                SafetyOracle::unsnap(r)?,
-            )))),
-            t => Err(fns_snap::SnapError::BadTag {
-                what: "audit handle",
-                tag: t as u64,
-            }),
-        }
-    }
-
-    /// Snapshot the run summary ([`AuditReport::default`] when off).
-    pub fn report(&self) -> AuditReport {
-        match self {
-            AuditHandle::Off => AuditReport::default(),
-            AuditHandle::On(o) => o.borrow().report(),
-        }
-    }
-
-    /// Total violations so far (0 when off).
-    pub fn violations(&self) -> u64 {
-        match self {
-            AuditHandle::Off => 0,
-            AuditHandle::On(o) => o.borrow().violations(),
-        }
-    }
-
-    /// See [`SafetyAuditor::on_alloc`].
-    #[inline]
-    pub fn on_alloc(&self, range: IovaRange) {
-        forward!(self, on_alloc(range));
-    }
-
-    /// See [`SafetyAuditor::on_free`].
-    #[inline]
-    pub fn on_free(&self, range: IovaRange) {
-        forward!(self, on_free(range));
-    }
-
-    /// See [`SafetyAuditor::on_map`].
-    #[inline]
-    pub fn on_map(&self, d: u16, iova: Iova, pa: PhysAddr) {
-        forward!(self, on_map(d, iova, pa));
-    }
-
-    /// See [`SafetyAuditor::on_map_huge`].
-    #[inline]
-    pub fn on_map_huge(&self, d: u16, base: Iova, pa_base: PhysAddr) {
-        forward!(self, on_map_huge(d, base, pa_base));
-    }
-
-    /// See [`SafetyAuditor::on_unmap`].
-    #[inline]
-    pub fn on_unmap(&self, d: u16, range: IovaRange) {
-        forward!(self, on_unmap(d, range));
-    }
-
-    /// See [`SafetyAuditor::on_unwound`].
-    #[inline]
-    pub fn on_unwound(&self, d: u16, range: IovaRange) {
-        forward!(self, on_unwound(d, range));
-    }
-
-    /// See [`SafetyAuditor::on_invalidate`].
-    #[inline]
-    pub fn on_invalidate(&self, d: u16, range: IovaRange) {
-        forward!(self, on_invalidate(d, range));
-    }
-
-    /// See [`SafetyAuditor::on_invalidate_all`].
-    #[inline]
-    pub fn on_invalidate_all(&self) {
-        forward!(self, on_invalidate_all());
-    }
-
-    /// See [`SafetyAuditor::on_pt_reclaimed`].
-    #[inline]
-    pub fn on_pt_reclaimed(&self, d: u16, reclaimed: &[ReclaimedPage]) {
-        forward!(self, on_pt_reclaimed(d, reclaimed));
-    }
-
-    /// See [`SafetyAuditor::on_reclaim_fixup`].
-    #[inline]
-    pub fn on_reclaim_fixup(&self, d: u16, reclaimed: &[ReclaimedPage]) {
-        forward!(self, on_reclaim_fixup(d, reclaimed));
-    }
-
-    /// See [`SafetyAuditor::on_wipe_queued`].
-    #[inline]
-    pub fn on_wipe_queued(&self) {
-        forward!(self, on_wipe_queued());
-    }
-
-    /// See [`SafetyAuditor::on_wipe_applied`].
-    #[inline]
-    pub fn on_wipe_applied(&self, epoch: &[InvalidationRequest]) {
-        forward!(self, on_wipe_applied(epoch));
-    }
-
-    /// See [`SafetyAuditor::on_translate`].
-    #[inline]
-    pub fn on_translate(&self, d: u16, iova: Iova, pa: Option<PhysAddr>, stale_walks: u64) {
-        forward!(self, on_translate(d, iova, pa, stale_walks));
-    }
-
-    /// See [`SafetyOracle::crosscheck_invalidated`].
-    #[inline]
-    pub fn crosscheck_invalidated(&self, d: u16, iommu: &Iommu, range: IovaRange) {
-        if let AuditHandle::On(o) = self {
-            o.borrow_mut().crosscheck_invalidated(d, iommu, range);
         }
     }
 }
@@ -1493,16 +1306,6 @@ mod tests {
         o.on_invalidate(0, IovaRange::new(iova(512), 512));
         assert!(!o.shadow_iotlb_huge.contains(&1));
         assert_eq!(o.violations(), 0);
-    }
-
-    #[test]
-    fn off_handle_is_inert_and_reports_default() {
-        let h = AuditHandle::default();
-        h.on_map(0, iova(1), pa(1));
-        h.on_translate(0, iova(1), None, 5);
-        assert!(!h.is_on());
-        assert_eq!(h.report(), AuditReport::default());
-        assert!(h.report().is_clean());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub const MAGIC: &[u8; 8] = b"FNSSNAP1";
 
 /// Format version written after the magic. Bump on ANY layout change to any
 /// `snap`/`unsnap` pair — old snapshots must refuse to load, not misparse.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load. Every variant names the exact reason so a
 /// refused resume is diagnosable from the error alone.
@@ -121,6 +121,16 @@ fn checksum(bytes: &[u8]) -> u64 {
     tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
     h = step(h, u64::from_le_bytes(tail));
     step(h, bytes.len() as u64)
+}
+
+/// Recomputes the trailing checksum of a snapshot whose body was edited in
+/// place, so corruption tests can reach the decoders behind the checksum.
+/// Leaves slices too short to hold a checksum untouched.
+pub fn reseal(bytes: &mut [u8]) {
+    if let Some(body_end) = bytes.len().checked_sub(8) {
+        let sum = checksum(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&sum.to_le_bytes());
+    }
 }
 
 /// Append-only encoder for the snapshot body.
@@ -279,10 +289,10 @@ impl<'a> SnapReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.body.len() {
+        if n > self.remaining() {
             return Err(SnapError::UnexpectedEof {
                 at: self.pos,
-                need: self.pos + n - self.body.len(),
+                need: n - self.remaining(),
             });
         }
         let s = &self.body[self.pos..self.pos + n];
@@ -348,8 +358,18 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Sequence length written by [`SnapWriter::seq`]; elements follow.
+    /// Every element takes at least one byte, so a length beyond the bytes
+    /// left is corrupt — refusing it here bounds every decoder's
+    /// preallocation by the snapshot's size.
     pub fn seq(&mut self) -> Result<usize, SnapError> {
-        self.usize()
+        let n = self.usize()?;
+        if n > self.remaining() {
+            return Err(SnapError::UnexpectedEof {
+                at: self.pos,
+                need: n - self.remaining(),
+            });
+        }
+        Ok(n)
     }
 
     /// `Option` presence byte; the caller reads the payload if `Some`.
@@ -485,6 +505,9 @@ mod tests {
             SnapReader::new(&bytes),
             Err(SnapError::ChecksumMismatch { .. })
         ));
+        reseal(&mut bytes);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_ne!(r.u64().unwrap(), 0x1234_5678);
     }
 
     #[test]

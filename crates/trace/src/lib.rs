@@ -43,7 +43,7 @@ pub use provenance::{
 pub use record::{
     Trace, TraceCategory, TraceConfig, TraceData, TraceEvent, TraceHandle, DEFAULT_TRACE_CAPACITY,
 };
-pub use recorder::{ObsHandle, ObserveConfig, Observer, DEFAULT_FLIGHT_CAPACITY, NO_FOCUS};
+pub use recorder::{ObserveConfig, DEFAULT_FLIGHT_CAPACITY, NO_FOCUS};
 pub use sampler::{ProbeConfig, Sample, SampleSet, Sampler};
 pub use span::{Span, SpanSet};
 pub use txn::{TxnDump, TxnRecord, TxnTrace, DEFAULT_TXN_CAPACITY};

@@ -127,6 +127,15 @@ impl LogHistogram {
         self.permille(999)
     }
 
+    /// Nonzero buckets as `(index, count)` pairs, in index order.
+    fn sparse(&self) -> Vec<(u16, u64)> {
+        (0..BUCKETS as u16)
+            .zip(&self.counts)
+            .filter(|&(_, &c)| c != 0)
+            .map(|(b, &c)| (b, c))
+            .collect()
+    }
+
     /// Serializes the histogram sparsely (nonzero buckets only).
     pub fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.count);
@@ -172,9 +181,16 @@ pub enum RegMetric {
     DescLatency,
     /// Invalidation-queue CPU wait per completed descriptor, ns.
     InvWait,
-    /// Total Rx-ring occupancy at gauge-sample times (descriptors).
+    /// Posted descriptors of one Rx ring at each NAPI poll of it, keyed
+    /// by the ring's domain and the polling core. Event-weighted: a value
+    /// per poll, so busy cores weigh more than a time average would.
     RingOccupancy,
-    /// Pending PTcache-wipe epochs at gauge-sample times.
+    /// Pending PTcache-wipe epochs after each invalidation
+    /// synchronization (which queues its wipes, if any) and each epoch
+    /// retirement, keyed by the requests' domain (flow 0). Event-weighted:
+    /// a value per queue event, so invalidation-heavy modes weigh more.
+    /// PTcache-preserving modes never queue wipes and read 0; deferred
+    /// mode flushes instead of synchronizing and records nothing.
     WipeBacklog,
 }
 
@@ -322,17 +338,7 @@ impl MetricsRegistry {
             stats: self
                 .hists
                 .iter()
-                .map(|(&(metric, domain, flow), h)| RegStat {
-                    metric,
-                    domain,
-                    flow,
-                    count: h.count,
-                    sum: h.sum,
-                    p50: h.p50(),
-                    p99: h.p99(),
-                    p999: h.p999(),
-                    max: h.max,
-                })
+                .map(|(&key, h)| RegStat::of(key, h))
                 .collect(),
             series: self.series.clone(),
         }
@@ -372,8 +378,9 @@ impl MetricsRegistry {
     }
 }
 
-/// One key's derived percentiles in the end-of-run report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One key's histogram in the end-of-run report, as its nonzero buckets
+/// so reports merge exactly; query it through [`RegStat::histogram`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegStat {
     /// What was measured.
     pub metric: RegMetric,
@@ -385,14 +392,46 @@ pub struct RegStat {
     pub count: u64,
     /// Sum of recorded values.
     pub sum: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
     /// Exact maximum.
     pub max: u64,
+    /// Nonzero histogram buckets as `(index, count)`.
+    pub buckets: Vec<(u16, u64)>,
+}
+
+impl RegStat {
+    /// The stat of one key's histogram.
+    pub fn of((metric, domain, flow): RegKey, h: &LogHistogram) -> Self {
+        Self {
+            metric,
+            domain,
+            flow,
+            count: h.count,
+            sum: h.sum,
+            max: h.max,
+            buckets: h.sparse(),
+        }
+    }
+
+    /// The registry key.
+    pub fn key(&self) -> RegKey {
+        (self.metric, self.domain, self.flow)
+    }
+
+    /// The histogram the stat was derived from.
+    pub fn histogram(&self) -> LogHistogram {
+        let mut h = LogHistogram {
+            count: self.count,
+            sum: self.sum,
+            max: self.max,
+            ..LogHistogram::default()
+        };
+        for &(b, c) in &self.buckets {
+            if let Some(slot) = h.counts.get_mut(b as usize) {
+                *slot += c;
+            }
+        }
+        h
+    }
 }
 
 /// End-of-run registry report: per-key percentiles plus the streamed
@@ -408,24 +447,30 @@ pub struct RegistryReport {
 }
 
 impl RegistryReport {
-    /// All-key merged percentile triple for one metric:
-    /// `(count, p50, p99, p999)`.
+    /// All-key merged percentiles for one metric, `(count, p50, p99,
+    /// p999)`: the keys' buckets are summed, so the result equals a query
+    /// over every recorded value.
     pub fn percentiles(&self, metric: RegMetric) -> (u64, u64, u64, u64) {
-        // Derived stats cannot be re-merged exactly; report the dominant
-        // key's percentiles weighted by count when several exist. For the
-        // single-domain single-device runs of today, per-flow counts are
-        // what matter and the weighted pick is exact for one key.
-        let mut count = 0;
-        let mut best: Option<&RegStat> = None;
+        let mut h = LogHistogram::default();
         for s in self.stats.iter().filter(|s| s.metric == metric) {
-            count += s.count;
-            if best.is_none_or(|b| s.count > b.count) {
-                best = Some(s);
-            }
+            h.merge(&s.histogram());
         }
-        match best {
-            Some(b) => (count, b.p50, b.p99, b.p999),
-            None => (0, 0, 0, 0),
+        (h.count, h.p50(), h.p99(), h.p999())
+    }
+
+    /// Folds `other`'s stats in, keeping `(metric, domain, flow)` order;
+    /// stats under one key merge exactly. The series is left alone.
+    pub fn merge_stats(&mut self, other: &RegistryReport) {
+        self.enabled |= other.enabled;
+        for s in &other.stats {
+            match self.stats.binary_search_by_key(&s.key(), RegStat::key) {
+                Ok(i) => {
+                    let mut h = self.stats[i].histogram();
+                    h.merge(&s.histogram());
+                    self.stats[i] = RegStat::of(s.key(), &h);
+                }
+                Err(i) => self.stats.insert(i, s.clone()),
+            }
         }
     }
 }

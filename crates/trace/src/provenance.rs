@@ -513,7 +513,9 @@ impl ProvenanceBook {
         let focus = r.u64()?;
         let window_dropped = r.u64()?;
         let head = r.usize()?;
-        let journal_cap = (max_pages * per_page).clamp(JOURNAL_MIN, JOURNAL_MAX);
+        let journal_cap = max_pages
+            .saturating_mul(per_page)
+            .clamp(JOURNAL_MIN, JOURNAL_MAX);
         let n = r.seq()?;
         if n > journal_cap || (head != 0 && (n < journal_cap || head >= n)) {
             return Err(SnapError::BadTag {

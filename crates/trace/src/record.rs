@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use fns_sim::time::Nanos;
 
-/// Default ring capacity when tracing is enabled without an explicit size.
+/// Trace ring capacity, in events.
 pub const DEFAULT_TRACE_CAPACITY: u32 = 65_536;
 
 /// Event categories, usable as a bitmask for run-start filtering.
@@ -91,29 +91,24 @@ impl TraceCategory {
 
 /// Run-start trace configuration, embedded in `SimConfig` (hence `Copy`).
 /// Output paths stay on the CLI side; the simulation only knows *what* to
-/// record, never *where* it goes.
+/// record, never *where* it goes. The ring holds
+/// [`DEFAULT_TRACE_CAPACITY`] events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Bitmask of [`TraceCategory`] values to record; 0 disables tracing.
     pub mask: u8,
-    /// Ring capacity in events (latest-kept once exceeded).
-    pub capacity: u32,
 }
 
 impl TraceConfig {
     /// Tracing disabled.
     pub fn off() -> Self {
-        Self {
-            mask: 0,
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
+        Self { mask: 0 }
     }
 
-    /// All categories at the default capacity.
+    /// All categories.
     pub fn all() -> Self {
         Self {
             mask: TraceCategory::ALL_MASK,
-            capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 
@@ -519,13 +514,13 @@ impl TraceHandle {
     }
 
     /// A recording handle with an additional flight-recorder crash ring of
-    /// `flight_capacity` events (0 disables it).
-    pub fn recording_with_flight(mask: u8, capacity: usize, flight_capacity: usize) -> Self {
+    /// `flight_events` events (0 disables it).
+    pub fn recording_with_flight(mask: u8, capacity: usize, flight_events: usize) -> Self {
         TraceHandle::On {
             mask,
             rec: Rc::new(RefCell::new(Recorder::new(capacity.max(1)))),
-            flight: (flight_capacity > 0)
-                .then(|| Rc::new(RefCell::new(Recorder::new(flight_capacity)))),
+            flight: (flight_events > 0)
+                .then(|| Rc::new(RefCell::new(Recorder::new(flight_events)))),
         }
     }
 

@@ -81,7 +81,7 @@ use fns::harness::{soak_config, SweepRunner, SCENARIOS, SOAK_SCENARIOS};
 use fns::oracle::AuditConfig;
 use fns::trace::{
     chrome_trace_json, chrome_trace_json_with, JsonWriter, ObserveConfig, ProbeConfig, RegMetric,
-    SampleSet, Span, TraceCategory, TraceConfig, DEFAULT_TRACE_CAPACITY,
+    SampleSet, Span, TraceCategory, TraceConfig,
 };
 
 /// What `--explain-page` should reconstruct.
@@ -424,7 +424,6 @@ fn apply_telemetry_flags(args: &Args, cfg: &mut SimConfig) {
     if args.trace_path.is_some() {
         cfg.trace = TraceConfig {
             mask: args.trace_mask,
-            capacity: DEFAULT_TRACE_CAPACITY,
         };
     }
     if args.sample_us > 0 {

@@ -321,6 +321,55 @@ fn armed_observability_survives_checkpoint_restore() {
     }
 }
 
+#[test]
+fn corrupted_snapshots_restore_or_refuse_without_panicking() {
+    // A checkpoint is an input file: a corrupt one must come back as a
+    // typed error, never a panic. Mutate one 8-byte word at a time,
+    // re-seal so the checksum passes, and let every decoder behind it
+    // (tap section included) see the damage.
+    let mut cfg = iperf_config(ProtectionMode::LinuxStrict, 5, 256);
+    cfg.warmup = 200_000;
+    cfg.measure = 400_000;
+    cfg.trace = TraceConfig::all();
+    cfg.observe = ObserveConfig::full();
+    cfg.audit = fns::oracle::AuditConfig::on();
+    let mut sim = HostSim::new(cfg);
+    sim.step_until(300_000);
+    let clean = sim.snapshot();
+    drop(sim);
+    assert!(
+        HostSim::restore(cfg, &clean).is_ok(),
+        "clean snapshot refused"
+    );
+    // Header (magic + version) and the checksum word stay intact.
+    let words = (clean.len() - 8) / 8;
+    let mut rng = fns::sim::SimRng::seed(0x5eed);
+    let (mut restored, mut refused) = (0, 0);
+    for i in 0..1000 {
+        let mut bytes = clean.clone();
+        let at = 8 * (2 + rng.index(words - 2));
+        let word = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        // Alternate small values (lengths, tags, indices) with random bits.
+        let new = match i % 3 {
+            0 => rng.next_u64() % 8,
+            1 => word ^ (1 << rng.index(64)),
+            _ => rng.next_u64(),
+        };
+        bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        fns::snap::reseal(&mut bytes);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            HostSim::restore(cfg, &bytes).is_ok()
+        }));
+        match outcome {
+            Ok(true) => restored += 1,
+            Ok(false) => refused += 1,
+            Err(_) => panic!("restore panicked on mutation {i}: word {at} = {new:#x}"),
+        }
+    }
+    assert_eq!(restored + refused, 1000);
+    assert!(refused > 0, "no mutation was refused");
+}
+
 /// Multi-device, multi-tenant scenarios (2 NICs × 4 queues + a storage
 /// DMA device, three protection domains) with shortened windows.
 fn multi_device_shaped() -> Vec<SimConfig> {

@@ -7,7 +7,7 @@ use std::process::Command;
 use fns::apps::iperf_config;
 use fns::core::{HostSim, ProtectionMode, Sabotage, SimConfig};
 use fns::oracle::AuditConfig;
-use fns::trace::ObserveConfig;
+use fns::trace::{ObserveConfig, RegMetric};
 
 /// The tiny audited shape the soak bisect test already proved trips a
 /// violation under `SkipRangeInvalidation { nth: 500 }`.
@@ -163,4 +163,38 @@ fn cli_flight_recorder_writes_valid_chrome_json() {
         "flight ring captured no events (wants() gating regressed?)"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merged_registry_percentiles_equal_the_concatenated_samples() {
+    // An IOMMU-off run (zero invalidation wait) merged with a strict run:
+    // the figure-level query must see every sample of both, not the
+    // busiest key's percentiles. Completed transaction spans hold the
+    // raw descriptor latencies the registry bucketed.
+    let mut merged = fns::trace::RegistryReport::default();
+    let mut all = fns::trace::LogHistogram::default();
+    for mode in [ProtectionMode::IommuOff, ProtectionMode::LinuxStrict] {
+        let mut cfg = sabotage_shape(mode);
+        cfg.audit = AuditConfig::off();
+        cfg.observe = ObserveConfig {
+            txn: true,
+            registry: true,
+            ..ObserveConfig::off()
+        };
+        let m = HostSim::new(cfg).run();
+        assert_eq!(m.txns.dropped, 0, "{mode}: span ring overflowed");
+        for t in &m.txns.records {
+            all.record(t.end_ns - t.start_ns);
+        }
+        merged.merge_stats(&m.registry);
+    }
+    assert_eq!(
+        merged.percentiles(RegMetric::DescLatency),
+        (all.count, all.p50(), all.p99(), all.p999())
+    );
+    let (count, _, p99, p999) = merged.percentiles(RegMetric::InvWait);
+    assert!(
+        count > 0 && p99 > 0 && p999 >= p99,
+        "inv_wait {count} {p99} {p999}"
+    );
 }

@@ -1,6 +1,6 @@
-//! Telemetry-plane integration: CPU-span attribution must reconcile with
-//! the legacy CPU counters, traced runs must not perturb the simulation,
-//! and the Chrome-JSON export must be byte-identical at any worker count.
+//! Telemetry-plane integration: traced runs must not perturb the
+//! simulation, and the Chrome-JSON export must be byte-identical at any
+//! worker count.
 
 use fns::apps::iperf_config;
 use fns::core::{HostSim, ProtectionMode, RunMetrics, SimConfig};
@@ -20,33 +20,6 @@ fn traced(mode: ProtectionMode, flows: u32) -> SimConfig {
     cfg.trace = TraceConfig::all();
     cfg.probes = ProbeConfig::every(100_000);
     cfg
-}
-
-#[test]
-fn span_totals_reconcile_with_legacy_cpu_counters() {
-    // The span table is a decomposition of the whole-run datapath CPU
-    // counters, not a new measurement: its total must equal `map_cpu_ns`
-    // exactly, and the invalidation-side spans must equal
-    // `invalidation_cpu_ns` exactly, on every mode that does any mapping.
-    for mode in [
-        ProtectionMode::LinuxStrict,
-        ProtectionMode::LinuxDeferred,
-        ProtectionMode::FastAndSafe,
-        ProtectionMode::DamnRecycle,
-    ] {
-        let m = HostSim::new(short(iperf_config(mode, 5, 256))).run();
-        assert!(m.map_cpu_ns > 0, "{mode:?}: no datapath CPU recorded");
-        assert_eq!(
-            m.spans.total_ns(),
-            m.map_cpu_ns,
-            "{mode:?}: span total diverged from map_cpu_ns"
-        );
-        assert_eq!(
-            m.spans.invalidation_ns(),
-            m.invalidation_cpu_ns,
-            "{mode:?}: invalidation spans diverged from invalidation_cpu_ns"
-        );
-    }
 }
 
 #[test]
