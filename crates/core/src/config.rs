@@ -12,6 +12,18 @@ use crate::driver::Sabotage;
 use crate::mode::ProtectionMode;
 use crate::watchdog::WatchdogConfig;
 
+/// Why [`SimConfig::validate`] refuses a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError(pub &'static str);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// CPU cost constants for the driver/stack work the datapath performs.
 ///
 /// Calibrated against the qualitative statements in the paper: the CPU is
@@ -347,7 +359,11 @@ impl SimConfig {
         bytes.div_ceil(4096).max(1)
     }
 
-    /// Ring size in descriptors, at least 1.
+    /// Ring size in descriptors. Never fewer than two, so one can be
+    /// recycled while the NIC fills the other: a ring whose packets fit in
+    /// one descriptor (the 512-page huge-Rx descriptors at a 256-packet
+    /// ring) still double-buffers. [`SimConfig::validate`] refuses the
+    /// zero ring, MTU and descriptor sizes this count is built from.
     pub fn ring_descriptors(&self) -> usize {
         // The paper's working-set formula allocates 2x the ring size in
         // MTU-sized packets' worth of pages.
@@ -355,6 +371,31 @@ impl SimConfig {
         // At least two descriptors so one can be recycled while the NIC
         // fills the other.
         (pages / self.pages_per_descriptor as u64).max(2) as usize
+    }
+
+    /// Checks that the configuration describes a host that can run: every
+    /// count that sizes the host or its traffic is at least 1. A zero core
+    /// count or descriptor size would panic mid-construction, and a zero
+    /// ring, MTU or flow count would run and report a different experiment
+    /// than the one asked for.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let counts = [
+            (self.cores as u64, "cores must be at least 1"),
+            (u64::from(self.flows), "flows must be at least 1"),
+            (u64::from(self.mtu), "mtu must be at least 1 byte"),
+            (
+                u64::from(self.ring_packets),
+                "ring_packets must be at least 1",
+            ),
+            (
+                u64::from(self.pages_per_descriptor),
+                "pages_per_descriptor must be at least 1",
+            ),
+        ];
+        match counts.iter().find(|&&(n, _)| n == 0) {
+            Some(&(_, reason)) => Err(ConfigError(reason)),
+            None => Ok(()),
+        }
     }
 
     /// Simulation end time.
@@ -405,6 +446,24 @@ mod tests {
         c9k.mtu = 9000;
         // 2 * 256 * 3 pages = 1536 pages = 24 descriptors.
         assert_eq!(c9k.ring_descriptors(), 24);
+    }
+
+    #[test]
+    fn validate_refuses_every_zero_count() {
+        let c = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        assert_eq!(c.validate(), Ok(()));
+        let zeroed: [fn(&mut SimConfig); 5] = [
+            |c| c.cores = 0,
+            |c| c.flows = 0,
+            |c| c.mtu = 0,
+            |c| c.ring_packets = 0,
+            |c| c.pages_per_descriptor = 0,
+        ];
+        for zero in zeroed {
+            let mut bad = c;
+            zero(&mut bad);
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

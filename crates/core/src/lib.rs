@@ -33,7 +33,7 @@ pub mod sim;
 pub mod tap;
 pub mod watchdog;
 
-pub use config::{CpuCosts, SimConfig, Topology, Workload};
+pub use config::{ConfigError, CpuCosts, SimConfig, Topology, Workload};
 pub use driver::{DmaDriver, Sabotage};
 pub use errors::DmaError;
 pub use metrics::RunMetrics;

@@ -248,8 +248,11 @@ impl MeanTracker {
 /// by successive IOVA allocations: an access whose reuse distance exceeds the
 /// cache size is a likely capacity miss.
 ///
-/// Uses the classic Fenwick-tree (binary indexed tree) algorithm: O(log n)
-/// per access.
+/// Keeps an exact recency stack of the distinct keys, most recent last: a
+/// re-access's distance is its key's depth below the top. The scan costs
+/// O(distance), and the distances this tracker sees are short (the IOVA
+/// allocators' L4-page keys peak at a few dozen). The stack holds one entry
+/// per distinct key, not one per access.
 ///
 /// # Examples
 ///
@@ -265,12 +268,10 @@ impl MeanTracker {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistance {
-    // Fenwick tree over access positions, 1-based internally: tree[i]
-    // counts the positions in its range that hold some key's most recent
-    // access. Those positions are exactly `last_pos`'s values, so the tree
-    // is rebuilt from them when it grows (a Fenwick tree cannot be extended
-    // by zero-filling). A count never exceeds the number of distinct keys.
-    tree: Vec<u32>,
+    // Every key seen, ordered by its most recent access, most recent last.
+    // It is `last_pos`'s keys sorted by position, so restore rebuilds it
+    // from the map.
+    stack: Vec<u64>,
     last_pos: HashMap<u64, usize, BuildHasherDefault<Mul64Hasher>>,
     distances: Vec<Option<u64>>,
     n_accesses: usize,
@@ -307,71 +308,34 @@ impl ReuseDistance {
         Self::default()
     }
 
-    fn tree_add(&mut self, pos: usize, delta: i32) {
-        let mut i = pos + 1;
-        while i <= self.tree.len() {
-            let slot = &mut self.tree[i - 1];
-            *slot = slot.wrapping_add_signed(delta);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Grows capacity to at least `cap` and rebuilds the Fenwick tree from
-    /// the most-recent positions in `last_pos`.
-    fn grow(&mut self, cap: usize) {
-        let cap = cap.next_power_of_two().max(64);
-        self.tree.clear();
-        self.tree.resize(cap, 0);
-        for &pos in self.last_pos.values() {
-            self.tree[pos] += 1;
-        }
-        for i in 1..=cap {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                self.tree[parent - 1] += self.tree[i - 1];
-            }
-        }
-    }
-
-    /// Number of most-recent positions in `[0, i]`.
-    fn tree_sum(&self, i: usize) -> u64 {
-        let mut s = 0u64;
-        let mut j = i + 1;
-        while j > 0 {
-            s += u64::from(self.tree[j - 1]);
-            j -= j & j.wrapping_neg();
-        }
-        s
-    }
-
     /// Records an access to `key` and returns its reuse distance.
     pub fn access(&mut self, key: u64) -> Option<u64> {
         let pos = self.n_accesses;
         self.n_accesses += 1;
-        if self.tree.len() < self.n_accesses {
-            self.grow(self.n_accesses);
-        }
-        let dist = if let Some(&prev) = self.last_pos.get(&key) {
-            // Distinct keys strictly between prev and pos: most-recent
-            // positions in (prev, pos) = sum[0..pos-1] - sum[0..prev].
-            let upto_pos = if pos == 0 { 0 } else { self.tree_sum(pos - 1) };
-            let upto_prev = self.tree_sum(prev);
-            // Remove the old "most recent" marker for this key.
-            self.tree_add(prev, -1);
-            Some(upto_pos - upto_prev)
+        let dist = if self.last_pos.insert(key, pos).is_some() {
+            // The keys above this one are exactly the distinct keys touched
+            // since its previous access.
+            let depth = self
+                .stack
+                .iter()
+                .rev()
+                .position(|&k| k == key)
+                .expect("a mapped key is on the stack");
+            let at = self.stack.len() - 1 - depth;
+            self.stack[at..].rotate_left(1);
+            Some(depth as u64)
         } else {
+            self.stack.push(key);
             None
         };
-        self.tree_add(pos, 1);
-        self.last_pos.insert(key, pos);
         self.distances.push(dist);
         dist
     }
 
-    /// Forgets every recorded access while keeping the tree, distance and
+    /// Forgets every recorded access while keeping the stack, distance and
     /// position-map storage — the arena hook for back-to-back runs.
     pub fn reset(&mut self) {
-        self.tree.clear();
+        self.stack.clear();
         self.last_pos.clear();
         self.distances.clear();
         self.n_accesses = 0;
@@ -394,9 +358,8 @@ impl ReuseDistance {
 
     /// Serializes the full tracker state for checkpointing: the position
     /// map sorted by key so the byte stream is deterministic, then the
-    /// distances. The Fenwick tree is a function of the map and of the
-    /// access count (its capacity), so it is rebuilt on restore rather
-    /// than stored.
+    /// distances. The recency stack is the map's keys in position order, so
+    /// it is rebuilt on restore rather than stored.
     pub fn snap(&self, w: &mut SnapWriter) {
         let mut pairs: Vec<(u64, usize)> = self.last_pos.iter().map(|(&k, &v)| (k, v)).collect();
         pairs.sort_unstable();
@@ -440,7 +403,7 @@ impl ReuseDistance {
                 tag: rd.n_accesses as u64,
             });
         }
-        for (key, pos) in pairs {
+        for &(key, pos) in &pairs {
             if pos >= rd.n_accesses || rd.last_pos.insert(key, pos).is_some() {
                 return Err(SnapError::BadTag {
                     what: "reuse-distance position",
@@ -448,9 +411,8 @@ impl ReuseDistance {
                 });
             }
         }
-        if rd.n_accesses > 0 {
-            rd.grow(rd.n_accesses);
-        }
+        pairs.sort_unstable_by_key(|&(_, pos)| pos);
+        rd.stack.extend(pairs.iter().map(|&(key, _)| key));
         Ok(rd)
     }
 
@@ -668,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn reuse_distance_restores_its_tree_from_the_position_map() {
+    fn reuse_distance_restores_its_stack_from_the_position_map() {
         use crate::rng::SimRng;
         let mut rng = SimRng::seed(5);
         for len in [0usize, 1, 63, 64, 65, 700] {
@@ -682,7 +644,7 @@ mod tests {
             let mut r = SnapReader::new(&bytes).unwrap();
             let mut back = ReuseDistance::unsnap(&mut r).unwrap();
             r.done().unwrap();
-            assert_eq!(back.tree, rd.tree, "len {len}");
+            assert_eq!(back.stack, rd.stack, "len {len}");
             for _ in 0..300 {
                 let k = rng.range(0, 40);
                 assert_eq!(back.access(k), rd.access(k), "len {len}");

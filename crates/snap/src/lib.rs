@@ -48,6 +48,8 @@ pub enum SnapError {
     /// The snapshot's config fingerprint disagrees with the caller's
     /// config — resuming under a different config would silently diverge.
     ConfigMismatch { what: &'static str },
+    /// The caller's config is one the restoring simulation refuses to run.
+    InvalidConfig { reason: &'static str },
     /// Reader finished with bytes left over: writer/reader pairs are out
     /// of sync (almost always a missed [`FORMAT_VERSION`] bump).
     TrailingBytes { left: usize },
@@ -79,6 +81,9 @@ impl std::fmt::Display for SnapError {
                 "snapshot was taken under a different config ({what} differs); \
                  resume with the original config"
             ),
+            SnapError::InvalidConfig { reason } => {
+                write!(f, "cannot resume under an invalid config: {reason}")
+            }
             SnapError::TrailingBytes { left } => write!(
                 f,
                 "snapshot has {left} unread trailing bytes: writer/reader out of sync"

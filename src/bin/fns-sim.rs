@@ -391,7 +391,7 @@ fn build_config(args: &Args, mode: ProtectionMode) -> SimConfig {
     cfg.seed = args.seed;
     cfg.faults = FaultConfig::uniform(args.faults);
     apply_telemetry_flags(args, &mut cfg);
-    cfg
+    runnable(cfg)
 }
 
 /// Config for `--soak NAME`: the registry's soak shape (long horizon,
@@ -417,6 +417,16 @@ fn build_soak_config(args: &Args, mode: ProtectionMode) -> SimConfig {
         cfg.faults = FaultConfig::uniform(args.faults);
     }
     apply_telemetry_flags(args, &mut cfg);
+    runnable(cfg)
+}
+
+/// `cfg` if it describes a host that can run; otherwise exits 2 with the
+/// reason, before any banner or result line is printed.
+fn runnable(cfg: SimConfig) -> SimConfig {
+    if let Err(e) = cfg.validate() {
+        eprintln!("fns-sim: invalid configuration: {e}");
+        std::process::exit(2);
+    }
     cfg
 }
 
