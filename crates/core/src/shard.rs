@@ -236,7 +236,7 @@ fn worker_main(
         Some(blobs) => cfgs
             .into_iter()
             .zip(blobs)
-            .try_for_each(|(cfg, blob)| HostSim::restore(cfg, &blob).map(|s| sims.push(s))),
+            .try_for_each(|(cfg, blob)| HostSim::restore_planned(cfg, &blob).map(|s| sims.push(s))),
         None => {
             let mut arena = RunArena::new();
             for cfg in cfgs {
@@ -346,8 +346,13 @@ impl ShardedSim {
 
     /// Restores a run checkpointed by [`ShardedSim::snapshot`]. The
     /// worker count may differ from the snapshotting run's — the
-    /// fingerprint canonicalizes `shards`, which never affects state.
+    /// fingerprint canonicalizes `shards`, which never affects state. A
+    /// config [`SimConfig::validate`] refuses is refused with
+    /// [`SnapError::InvalidConfig`]; the per-shard configs planned from it
+    /// are not re-validated (a shard may own no flows).
     pub fn restore(cfg: SimConfig, bytes: &[u8]) -> Result<Self, SnapError> {
+        cfg.validate()
+            .map_err(|e| SnapError::InvalidConfig { reason: e.0 })?;
         let mut r = SnapReader::new(bytes)?;
         if r.u64()? != Self::fingerprint(&cfg) {
             return Err(SnapError::ConfigMismatch { what: "sim config" });
@@ -781,5 +786,34 @@ mod tests {
         assert_eq!(resumed.now(), 300_000);
         resumed.step_until(cfg.end_time());
         assert_eq!(resumed.finish(), golden);
+    }
+
+    #[test]
+    fn shards_without_flows_resume_identically() {
+        // Two flows on four cores leave two single-core shards with no
+        // flows; the validated outer config must still resume.
+        let mut cfg = SimConfig::paper_default(crate::ProtectionMode::FastAndSafe);
+        cfg.cores = 4;
+        cfg.flows = 2;
+        cfg.warmup = 200_000;
+        cfg.measure = 500_000;
+        cfg.shards = 1;
+        assert!(plan_shards(&cfg).iter().any(|s| s.cfg.flows == 0));
+        let golden = ShardedSim::new(cfg).run();
+        let mut sim = Engine::new(cfg);
+        sim.step_until(300_000);
+        let snap = sim.snapshot();
+        drop(sim);
+        let mut resumed = Engine::restore(cfg, &snap).expect("restore");
+        assert_eq!(resumed.now(), 300_000);
+        resumed.step_until(cfg.end_time());
+        assert_eq!(resumed.finish(), golden);
+        // The config the caller supplies is still validated.
+        let mut invalid = cfg;
+        invalid.cores = 0;
+        assert!(matches!(
+            Engine::restore(invalid, &snap),
+            Err(SnapError::InvalidConfig { .. })
+        ));
     }
 }
