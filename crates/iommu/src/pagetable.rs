@@ -50,55 +50,29 @@ impl PageRef {
     }
 }
 
-/// One page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PtEntry {
-    /// Non-leaf: pointer to the next-level page.
-    Child(PageRef),
-    /// PT-L4 leaf: the final physical translation.
-    Leaf(PhysAddr),
-    /// 2 MB huge-page leaf, valid only in PT-L3 pages (VT-d second-level
-    /// superpage). The address is the 2 MB-aligned physical base.
-    HugeLeaf(PhysAddr),
-}
+/// Tag bits of a packed entry word (the top two bits); an all-zero word is
+/// an empty entry.
+const TAG_MASK: u64 = 0b11 << 62;
+/// Non-leaf: the payload is the arena slot of the next-level page. The
+/// child's generation is implied: an attached page is always live, so it
+/// is the slot's current one.
+const TAG_CHILD: u64 = 0b01 << 62;
+/// PT-L4 leaf: the payload is the final physical translation.
+const TAG_LEAF: u64 = 0b10 << 62;
+/// 2 MB huge-page leaf, valid only in PT-L3 pages (VT-d second-level
+/// superpage). The payload is the 2 MB-aligned physical base.
+const TAG_HUGE: u64 = 0b11 << 62;
+/// Payload bits of an entry word.
+const PAYLOAD: u64 = !TAG_MASK;
 
-/// A single page-table page.
-#[derive(Debug, Clone)]
-struct PtPage {
-    /// 1 = root (PT-L1) .. 4 = leaf level (PT-L4).
-    level: u8,
-    entries: Vec<Option<PtEntry>>,
-    live: u16,
-}
-
-impl PtPage {
-    fn new(level: u8) -> Self {
-        Self {
-            level,
-            entries: vec![None; ENTRIES_PER_PAGE],
-            live: 0,
-        }
-    }
-
-    /// Like [`PtPage::new`] but reusing a recycled entries vector. The
-    /// vector must already be all-`None` — guaranteed for pages coming off
-    /// `free_page`, which only reclaims pages whose `live` count hit zero
-    /// (and `live` equals the number of `Some` entries by invariant).
-    fn with_entries(level: u8, entries: Vec<Option<PtEntry>>) -> Self {
-        debug_assert_eq!(entries.len(), ENTRIES_PER_PAGE);
-        debug_assert!(entries.iter().all(Option::is_none));
-        Self {
-            level,
-            entries,
-            live: 0,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
+/// Per-slot record beside the entry arena.
+#[derive(Debug, Clone, Copy)]
+struct Meta {
     generation: u32,
-    page: Option<PtPage>,
+    /// Populated entries of the page.
+    live: u16,
+    /// 1 = root (PT-L1) .. 4 = leaf level (PT-L4); 0 = free slot.
+    level: u8,
 }
 
 /// Result of resolving a cached [`PageRef`].
@@ -212,12 +186,12 @@ pub struct PtStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IoPageTable {
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    /// Entries vectors stashed from reclaimed pages, reused by
-    /// `alloc_page` so the map/unmap churn of chunk-granular modes stops
-    /// hitting the allocator for every 4 KB page-table page.
-    entries_pool: Vec<Vec<Option<PtEntry>>>,
+    /// Every page's 512 entry words, slot-major: slot `s` owns
+    /// `entries[s * 512..(s + 1) * 512]`. A free slot's words are all zero
+    /// (only empty pages are reclaimed), so reuse needs no clearing.
+    entries: Vec<u64>,
+    meta: Vec<Meta>,
+    free: Vec<u32>,
     /// One-entry walk cache for `map`: the PT-L4 page the last map landed
     /// in, keyed by 2 MB region (`pfn / L4_SPAN_PFNS`). Drivers map
     /// descriptors as contiguous page runs, so nearly every map hits the
@@ -245,9 +219,9 @@ impl IoPageTable {
     /// Creates an empty page table (root page pre-allocated).
     pub fn new() -> Self {
         let mut pt = Self {
-            slots: Vec::new(),
+            entries: Vec::new(),
+            meta: Vec::new(),
             free: Vec::new(),
-            entries_pool: Vec::new(),
             map_cache: None,
             unmap_cache: None,
             root: PageRef {
@@ -256,114 +230,132 @@ impl IoPageTable {
             },
             stats: PtStats::default(),
         };
-        pt.root = pt.alloc_page(1);
+        let root = pt.alloc_page(1);
+        pt.root = pt.page_ref(root);
         pt
     }
 
     /// Rewinds to the freshly-constructed state (just a root page, zeroed
-    /// counters) while keeping every page's entries vector pooled for
-    /// reuse — the arena hook for back-to-back simulation runs. The
-    /// resulting table is behaviorally identical to `IoPageTable::new()`.
+    /// counters) while keeping the arena's capacity for reuse — the arena
+    /// hook for back-to-back simulation runs. The resulting table is
+    /// behaviorally identical to `IoPageTable::new()`.
     pub fn reset(&mut self) {
-        for slot in &mut self.slots {
-            if let Some(mut page) = slot.page.take() {
-                page.entries.fill(None);
-                self.entries_pool.push(page.entries);
-            }
-        }
-        self.slots.clear();
+        self.entries.clear();
+        self.meta.clear();
         self.free.clear();
         self.map_cache = None;
         self.unmap_cache = None;
         self.stats = PtStats::default();
-        self.root = PageRef {
-            idx: 0,
-            generation: 0,
-        };
-        self.root = self.alloc_page(1);
+        let root = self.alloc_page(1);
+        self.root = self.page_ref(root);
     }
 
-    fn alloc_page(&mut self, level: u8) -> PageRef {
+    fn alloc_page(&mut self, level: u8) -> usize {
         self.stats.pages_allocated += 1;
-        let page = match self.entries_pool.pop() {
-            Some(entries) => PtPage::with_entries(level, entries),
-            None => PtPage::new(level),
-        };
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx];
-            debug_assert!(slot.page.is_none());
-            slot.page = Some(page);
-            PageRef {
-                idx: idx as u32,
-                generation: slot.generation,
-            }
+        if let Some(slot) = self.free.pop() {
+            let m = &mut self.meta[slot as usize];
+            debug_assert_eq!((m.level, m.live), (0, 0));
+            m.level = level;
+            slot as usize
         } else {
-            self.slots.push(Slot {
+            self.meta.push(Meta {
                 generation: 0,
-                page: Some(page),
+                live: 0,
+                level,
             });
-            PageRef {
-                idx: (self.slots.len() - 1) as u32,
-                generation: 0,
-            }
+            self.entries
+                .resize(self.entries.len() + ENTRIES_PER_PAGE, 0);
+            self.meta.len() - 1
         }
     }
 
-    fn free_page(&mut self, r: PageRef) {
-        let slot = &mut self.slots[r.idx as usize];
-        debug_assert_eq!(slot.generation, r.generation);
-        // Only empty pages are reclaimed (`live == 0`, all entries `None`),
-        // so the entries vector can be reused verbatim by `alloc_page`.
-        if let Some(page) = slot.page.take() {
-            debug_assert_eq!(page.live, 0, "reclaiming a non-empty PT page");
-            self.entries_pool.push(page.entries);
-        }
-        slot.generation += 1;
-        self.free.push(r.idx as usize);
+    fn free_page(&mut self, slot: usize) {
+        debug_assert!(self.words(slot).iter().all(|&e| e == 0));
+        let m = &mut self.meta[slot];
+        debug_assert_eq!(m.live, 0, "reclaiming a non-empty PT page");
+        m.level = 0;
+        m.generation = m.generation.wrapping_add(1);
+        self.free.push(slot as u32);
         self.stats.pages_reclaimed += 1;
+    }
+
+    /// The live ref to the page in `slot`.
+    fn page_ref(&self, slot: usize) -> PageRef {
+        PageRef {
+            idx: slot as u32,
+            generation: self.meta[slot].generation,
+        }
+    }
+
+    fn words(&self, slot: usize) -> &[u64] {
+        &self.entries[slot * ENTRIES_PER_PAGE..(slot + 1) * ENTRIES_PER_PAGE]
+    }
+
+    fn word(&self, slot: usize, idx: usize) -> u64 {
+        self.entries[slot * ENTRIES_PER_PAGE + idx]
+    }
+
+    /// Fills the empty entry `idx` of `slot`.
+    fn fill(&mut self, slot: usize, idx: usize, word: u64) {
+        let e = &mut self.entries[slot * ENTRIES_PER_PAGE + idx];
+        debug_assert!(*e == 0 && word != 0);
+        *e = word;
+        self.meta[slot].live += 1;
+    }
+
+    /// Empties the populated entry `idx` of `slot`.
+    fn clear(&mut self, slot: usize, idx: usize) {
+        let e = &mut self.entries[slot * ENTRIES_PER_PAGE + idx];
+        debug_assert_ne!(*e, 0);
+        *e = 0;
+        self.meta[slot].live -= 1;
+    }
+
+    /// Slot of the child page at entry `idx` of `slot`, if that entry is a
+    /// child pointer.
+    fn child(&self, slot: usize, idx: usize) -> Option<usize> {
+        let e = self.word(slot, idx);
+        (e & TAG_MASK == TAG_CHILD).then_some((e & PAYLOAD) as usize)
     }
 
     /// Serializes the page table *physically*: every slot (generation plus
     /// page contents), the free list, root ref, and counters travel
     /// verbatim, because cached [`PageRef`]s in the PTcaches index slots by
     /// position and generation — a logically rebuilt table would invalidate
-    /// them. The `entries_pool` is deliberately dropped: pooled vectors are
-    /// all-`None` and only avoid heap churn, so restoring without them is
-    /// behaviorally identical.
+    /// them.
     pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
-        w.seq(self.slots.len());
-        for slot in &self.slots {
-            w.u32(slot.generation);
-            w.opt(&slot.page, |w, page| {
-                w.u8(page.level);
-                w.u16(page.live);
-                let populated = page.entries.iter().filter(|e| e.is_some()).count();
-                w.seq(populated);
-                for (i, e) in page.entries.iter().enumerate() {
-                    if let Some(e) = e {
-                        w.u32(i as u32);
-                        match e {
-                            PtEntry::Child(r) => {
-                                w.u8(0);
-                                w.u32(r.idx);
-                                w.u32(r.generation);
-                            }
-                            PtEntry::Leaf(pa) => {
-                                w.u8(1);
-                                w.u64(pa.as_u64());
-                            }
-                            PtEntry::HugeLeaf(pa) => {
-                                w.u8(2);
-                                w.u64(pa.as_u64());
-                            }
+        w.seq(self.meta.len());
+        for (slot, m) in self.meta.iter().enumerate() {
+            w.u32(m.generation);
+            w.opt(&(m.level != 0).then_some(m), |w, m| {
+                w.u8(m.level);
+                w.u16(m.live);
+                let words = self.words(slot);
+                w.seq(words.iter().filter(|&&e| e != 0).count());
+                for (i, &e) in words.iter().enumerate().filter(|&(_, &e)| e != 0) {
+                    w.u32(i as u32);
+                    let payload = e & PAYLOAD;
+                    match e & TAG_MASK {
+                        TAG_CHILD => {
+                            w.u8(0);
+                            w.u32(payload as u32);
+                            w.u32(self.meta[payload as usize].generation);
+                        }
+                        TAG_LEAF => {
+                            w.u8(1);
+                            w.u64(payload);
+                        }
+                        _ => {
+                            w.u8(2);
+                            w.u64(payload);
                         }
                     }
                 }
             });
         }
         w.seq(self.free.len());
-        for &idx in &self.free {
-            w.usize(idx);
+        for &slot in &self.free {
+            w.usize(slot as usize);
         }
         w.u32(self.root.idx);
         w.u32(self.root.generation);
@@ -374,64 +366,121 @@ impl IoPageTable {
     }
 
     /// Rebuilds a page table captured by [`IoPageTable::snap`].
+    ///
+    /// A checkpoint is an input file, so the image is checked before it is
+    /// trusted: every entry kind sits at its level, every child pointer
+    /// names a live page exactly one level down under its current
+    /// generation and is that page's only parent, the root is a live
+    /// PT-L1 page, each page's live count equals its populated entries,
+    /// the free list names exactly the free slots, and every address fits
+    /// an entry's payload. Anything else is a typed error, so no later
+    /// walk can fault on a corrupt table.
     pub fn unsnap(r: &mut fns_snap::SnapReader) -> Result<Self, fns_snap::SnapError> {
         use fns_snap::SnapError;
+        let bad = |what: &'static str, tag: u64| SnapError::BadTag { what, tag };
         let n_slots = r.seq()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 20));
-        for _ in 0..n_slots {
+        if n_slots > u32::MAX as usize {
+            return Err(bad("pt slot count", n_slots as u64));
+        }
+        let mut meta = Vec::with_capacity(n_slots.min(1 << 20));
+        let mut entries: Vec<u64> = Vec::new();
+        // `(parent slot, child slot, stored generation)` of every child
+        // pointer, checked once all slots are known.
+        let mut links: Vec<(usize, usize, u32)> = Vec::new();
+        for slot in 0..n_slots {
             let generation = r.u32()?;
+            entries.resize(entries.len() + ENTRIES_PER_PAGE, 0);
+            let words = &mut entries[slot * ENTRIES_PER_PAGE..];
             let page = r.opt(|r| {
                 let level = r.u8()?;
+                if !(1..=4).contains(&level) {
+                    return Err(bad("pt page level", level as u64));
+                }
                 let live = r.u16()?;
                 let populated = r.seq()?;
-                let mut entries = vec![None; ENTRIES_PER_PAGE];
+                if populated != live as usize {
+                    return Err(bad("pt live count", live as u64));
+                }
                 for _ in 0..populated {
                     let i = r.u32()? as usize;
-                    if i >= ENTRIES_PER_PAGE {
-                        return Err(SnapError::BadTag {
-                            what: "pt entry index",
-                            tag: i as u64,
-                        });
+                    if i >= ENTRIES_PER_PAGE || words[i] != 0 {
+                        return Err(bad("pt entry index", i as u64));
                     }
                     let tag = r.u8()?;
-                    entries[i] = Some(match tag {
-                        0 => PtEntry::Child(PageRef {
-                            idx: r.u32()?,
-                            generation: r.u32()?,
-                        }),
-                        1 => PtEntry::Leaf(PhysAddr::new(r.u64()?)),
-                        2 => PtEntry::HugeLeaf(PhysAddr::new(r.u64()?)),
-                        t => {
-                            return Err(SnapError::BadTag {
-                                what: "pt entry",
-                                tag: t as u64,
-                            })
+                    words[i] = match (tag, level) {
+                        (0, 1..=3) => {
+                            let child = r.u32()?;
+                            links.push((slot, child as usize, r.u32()?));
+                            TAG_CHILD | child as u64
                         }
-                    });
+                        (1, 4) | (2, 3) => {
+                            let pa = r.u64()?;
+                            if pa & TAG_MASK != 0 {
+                                return Err(bad("pt entry address", pa));
+                            }
+                            pa | if tag == 1 { TAG_LEAF } else { TAG_HUGE }
+                        }
+                        _ => return Err(bad("pt entry", tag as u64)),
+                    };
                 }
-                Ok(PtPage {
-                    level,
-                    entries,
-                    live,
-                })
+                Ok((level, live))
             })?;
-            slots.push(Slot { generation, page });
+            let (level, live) = page.unwrap_or((0, 0));
+            meta.push(Meta {
+                generation,
+                live,
+                level,
+            });
         }
         let n_free = r.seq()?;
         let mut free = Vec::with_capacity(n_free.min(1 << 20));
+        let mut on_free = vec![false; n_slots];
         for _ in 0..n_free {
-            free.push(r.usize()?);
+            let slot = r.usize()?;
+            if slot >= n_slots || meta[slot].level != 0 || on_free[slot] {
+                return Err(bad("pt free list", slot as u64));
+            }
+            on_free[slot] = true;
+            free.push(slot as u32);
+        }
+        if meta.iter().filter(|m| m.level == 0).count() != n_free {
+            return Err(bad("pt free list length", n_free as u64));
+        }
+        let root = PageRef {
+            idx: r.u32()?,
+            generation: r.u32()?,
+        };
+        match meta.get(root.idx as usize) {
+            Some(m) if m.level == 1 && m.generation == root.generation => {}
+            _ => return Err(bad("pt root", root.idx as u64)),
+        }
+        let mut has_parent = vec![false; n_slots];
+        for (parent, child, generation) in links {
+            match meta.get(child) {
+                Some(m)
+                    if m.level == meta[parent].level + 1
+                        && m.generation == generation
+                        && !has_parent[child] =>
+                {
+                    has_parent[child] = true;
+                }
+                _ => return Err(bad("pt child", child as u64)),
+            }
+        }
+        // Pages are allocated only as children and detached only when
+        // reclaimed, so every live page but the root has its one parent.
+        if let Some(orphan) =
+            (0..n_slots).find(|&s| s != root.idx as usize && meta[s].level != 0 && !has_parent[s])
+        {
+            return Err(bad("pt orphan page", orphan as u64));
         }
         Ok(Self {
-            slots,
+            entries,
+            meta,
             free,
-            entries_pool: Vec::new(),
             map_cache: None,
             unmap_cache: None,
-            root: PageRef {
-                idx: r.u32()?,
-                generation: r.u32()?,
-            },
+            root,
             stats: PtStats {
                 maps: r.u64()?,
                 unmaps: r.u64()?,
@@ -443,66 +492,51 @@ impl IoPageTable {
 
     /// Checks whether a cached ref still points at a live page.
     pub fn ref_state(&self, r: PageRef) -> RefState {
-        let slot = &self.slots[r.idx as usize];
-        if slot.generation == r.generation && slot.page.is_some() {
-            RefState::Live
-        } else {
-            RefState::Stale
+        match self.meta.get(r.idx as usize) {
+            Some(m) if m.generation == r.generation && m.level != 0 => RefState::Live,
+            _ => RefState::Stale,
         }
     }
 
-    fn page(&self, r: PageRef) -> &PtPage {
-        let slot = &self.slots[r.idx as usize];
-        assert_eq!(slot.generation, r.generation, "stale page ref dereferenced");
-        slot.page.as_ref().expect("stale page ref dereferenced")
-    }
-
-    fn page_mut(&mut self, r: PageRef) -> &mut PtPage {
-        let slot = &mut self.slots[r.idx as usize];
-        assert_eq!(slot.generation, r.generation, "stale page ref dereferenced");
-        slot.page.as_mut().expect("stale page ref dereferenced")
-    }
-
     /// Maps `iova -> pa`, allocating intermediate pages as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` does not fit the 62-bit payload of an entry.
     pub fn map(&mut self, iova: Iova, pa: PhysAddr) -> Result<(), PtError> {
         let region = iova.pfn() / L4_SPAN_PFNS;
         if let Some((key, l4)) = self.map_cache {
             if key == region && self.ref_state(l4) == RefState::Live {
-                return self.map_in_leaf(l4, iova, pa);
+                return self.map_in_leaf(l4.idx as usize, iova, pa);
             }
         }
-        let mut cur = self.root;
+        let mut cur = self.root.idx as usize;
         for level in 1..=3u8 {
             let idx = iova.pt_index(level);
-            let next = match self.page(cur).entries[idx] {
-                Some(PtEntry::Child(c)) => c,
-                Some(PtEntry::HugeLeaf(_)) => {
-                    return Err(PtError::AlreadyMapped(iova.pfn()));
-                }
-                Some(PtEntry::Leaf(_)) => unreachable!("leaf entry at non-leaf level"),
-                None => {
+            let e = self.word(cur, idx);
+            cur = match e & TAG_MASK {
+                TAG_CHILD => (e & PAYLOAD) as usize,
+                TAG_HUGE => return Err(PtError::AlreadyMapped(iova.pfn())),
+                TAG_LEAF => unreachable!("leaf entry at non-leaf level"),
+                _ => {
                     let child = self.alloc_page(level + 1);
-                    let p = self.page_mut(cur);
-                    p.entries[idx] = Some(PtEntry::Child(child));
-                    p.live += 1;
+                    self.fill(cur, idx, TAG_CHILD | child as u64);
                     child
                 }
             };
-            cur = next;
         }
-        self.map_cache = Some((region, cur));
+        self.map_cache = Some((region, self.page_ref(cur)));
         self.map_in_leaf(cur, iova, pa)
     }
 
     /// Installs a leaf in a known-live PT-L4 page (the tail of `map`).
-    fn map_in_leaf(&mut self, l4: PageRef, iova: Iova, pa: PhysAddr) -> Result<(), PtError> {
+    fn map_in_leaf(&mut self, l4: usize, iova: Iova, pa: PhysAddr) -> Result<(), PtError> {
+        assert_eq!(pa.as_u64() & TAG_MASK, 0, "physical address beyond 62 bits");
         let idx = iova.pt_index(4);
-        let leaf = self.page_mut(l4);
-        if leaf.entries[idx].is_some() {
+        if self.word(l4, idx) != 0 {
             return Err(PtError::AlreadyMapped(iova.pfn()));
         }
-        leaf.entries[idx] = Some(PtEntry::Leaf(pa));
-        leaf.live += 1;
+        self.fill(l4, idx, TAG_LEAF | pa.as_u64());
         self.stats.maps += 1;
         Ok(())
     }
@@ -530,26 +564,30 @@ impl IoPageTable {
 
     /// Full walk distinguishing 4 KB and 2 MB mappings.
     pub fn walk(&self, iova: Iova) -> Option<WalkResult> {
-        let l2 = match self.page(self.root).entries[iova.pt_index(1)]? {
-            PtEntry::Child(c) => c,
-            _ => unreachable!("root holds children only"),
-        };
-        let l3 = match self.page(l2).entries[iova.pt_index(2)]? {
-            PtEntry::Child(c) => c,
-            _ => unreachable!("PT-L2 holds children only"),
-        };
-        let l4 = match self.page(l3).entries[iova.pt_index(3)]? {
-            PtEntry::Child(c) => c,
-            PtEntry::HugeLeaf(pa_base) => {
-                return Some(WalkResult::Huge { l2, l3, pa_base });
+        let l2 = self.child(self.root.idx as usize, iova.pt_index(1))?;
+        let l3 = self.child(l2, iova.pt_index(2))?;
+        let e3 = self.word(l3, iova.pt_index(3));
+        let l4 = match e3 & TAG_MASK {
+            TAG_CHILD => (e3 & PAYLOAD) as usize,
+            TAG_HUGE => {
+                return Some(WalkResult::Huge {
+                    l2: self.page_ref(l2),
+                    l3: self.page_ref(l3),
+                    pa_base: PhysAddr::new(e3 & PAYLOAD),
+                });
             }
-            PtEntry::Leaf(_) => unreachable!("PT-L3 holds children or huge leaves"),
+            _ => return None,
         };
-        let pa = match self.page(l4).entries[iova.pt_index(4)]? {
-            PtEntry::Leaf(pa) => pa,
-            _ => unreachable!("PT-L4 holds leaves only"),
-        };
-        Some(WalkResult::Page(WalkPath { l2, l3, l4, pa }))
+        let e4 = self.word(l4, iova.pt_index(4));
+        if e4 == 0 {
+            return None;
+        }
+        Some(WalkResult::Page(WalkPath {
+            l2: self.page_ref(l2),
+            l3: self.page_ref(l3),
+            l4: self.page_ref(l4),
+            pa: PhysAddr::new(e4 & PAYLOAD),
+        }))
     }
 
     /// Maps a 2 MB huge page: `iova` (2 MB aligned) to the 2 MB-aligned
@@ -557,33 +595,29 @@ impl IoPageTable {
     ///
     /// # Panics
     ///
-    /// Panics if either address is not 2 MB aligned.
+    /// Panics if either address is not 2 MB aligned, or if `pa` does not
+    /// fit the 62-bit payload of an entry.
     pub fn map_huge(&mut self, iova: Iova, pa: PhysAddr) -> Result<(), PtError> {
         assert_eq!(iova.pfn() % L4_SPAN_PFNS, 0, "unaligned huge IOVA");
         assert_eq!(pa.pfn() % L4_SPAN_PFNS, 0, "unaligned huge frame");
-        let mut cur = self.root;
+        assert_eq!(pa.as_u64() & TAG_MASK, 0, "physical address beyond 62 bits");
+        let mut cur = self.root.idx as usize;
         for level in 1..=2u8 {
             let idx = iova.pt_index(level);
-            let next = match self.page(cur).entries[idx] {
-                Some(PtEntry::Child(c)) => c,
-                Some(_) => return Err(PtError::AlreadyMapped(iova.pfn())),
+            cur = match self.child(cur, idx) {
+                Some(c) => c,
                 None => {
                     let child = self.alloc_page(level + 1);
-                    let p = self.page_mut(cur);
-                    p.entries[idx] = Some(PtEntry::Child(child));
-                    p.live += 1;
+                    self.fill(cur, idx, TAG_CHILD | child as u64);
                     child
                 }
             };
-            cur = next;
         }
         let idx = iova.pt_index(3);
-        let l3 = self.page_mut(cur);
-        if l3.entries[idx].is_some() {
+        if self.word(cur, idx) != 0 {
             return Err(PtError::AlreadyMapped(iova.pfn()));
         }
-        l3.entries[idx] = Some(PtEntry::HugeLeaf(pa));
-        l3.live += 1;
+        self.fill(cur, idx, TAG_HUGE | pa.as_u64());
         self.stats.maps += 1;
         Ok(())
     }
@@ -596,20 +630,15 @@ impl IoPageTable {
     /// silently unmapped.
     pub fn collapse_empty_l4(&mut self, iova: Iova) -> Option<ReclaimedPage> {
         assert_eq!(iova.pfn() % L4_SPAN_PFNS, 0, "unaligned huge IOVA");
-        let l3 = self.child_ref_at(iova, 3)?;
+        let l3 = self.slot_at(iova, 3)?;
         let idx = iova.pt_index(3);
-        let target = match self.page(l3).entries[idx] {
-            Some(PtEntry::Child(c)) => c,
-            _ => return None,
-        };
-        if self.page(target).live != 0 {
+        let target = self.child(l3, idx)?;
+        if self.meta[target].live != 0 {
             // Live 4 KB mappings in the region: nothing to collapse; the
             // caller's map_huge will fail with AlreadyMapped.
             return None;
         }
-        let p = self.page_mut(l3);
-        p.entries[idx] = None;
-        p.live -= 1;
+        self.clear(l3, idx);
         self.free_page(target);
         Some(ReclaimedPage {
             level: 4,
@@ -621,19 +650,15 @@ impl IoPageTable {
     pub fn unmap_huge(&mut self, iova: Iova) -> Result<(), PtError> {
         assert_eq!(iova.pfn() % L4_SPAN_PFNS, 0, "unaligned huge IOVA");
         let l3 = self
-            .child_ref_at(iova, 3)
+            .slot_at(iova, 3)
             .ok_or(PtError::NotMapped(iova.pfn()))?;
         let idx = iova.pt_index(3);
-        let page = self.page_mut(l3);
-        match page.entries[idx] {
-            Some(PtEntry::HugeLeaf(_)) => {
-                page.entries[idx] = None;
-                page.live -= 1;
-                self.stats.unmaps += 1;
-                Ok(())
-            }
-            _ => Err(PtError::NotMapped(iova.pfn())),
+        if self.word(l3, idx) & TAG_MASK != TAG_HUGE {
+            return Err(PtError::NotMapped(iova.pfn()));
         }
+        self.clear(l3, idx);
+        self.stats.unmaps += 1;
+        Ok(())
     }
 
     /// Reads the entry for `iova` from a *cached* intermediate page ref, as
@@ -649,13 +674,15 @@ impl IoPageTable {
         if self.ref_state(cached) == RefState::Stale {
             return Err(StaleRefError);
         }
-        let page = self.page(cached);
-        let idx = iova.pt_index(page.level);
-        Ok(page.entries[idx].map(|e| match e {
-            PtEntry::Child(c) => PtEntryView::Child(c),
-            PtEntry::Leaf(pa) => PtEntryView::Leaf(pa),
-            PtEntry::HugeLeaf(pa) => PtEntryView::HugeLeaf(pa),
-        }))
+        let slot = cached.idx as usize;
+        let e = self.word(slot, iova.pt_index(self.meta[slot].level));
+        let payload = e & PAYLOAD;
+        Ok(match e & TAG_MASK {
+            TAG_CHILD => Some(PtEntryView::Child(self.page_ref(payload as usize))),
+            TAG_LEAF => Some(PtEntryView::Leaf(PhysAddr::new(payload))),
+            TAG_HUGE => Some(PtEntryView::HugeLeaf(PhysAddr::new(payload))),
+            _ => None,
+        })
     }
 
     /// Unmaps every page in `range` in **one operation**, applying the Linux
@@ -683,23 +710,23 @@ impl IoPageTable {
     fn clear_leaf(&mut self, iova: Iova) -> Result<(), PtError> {
         let region = iova.pfn() / L4_SPAN_PFNS;
         let l4 = match self.unmap_cache {
-            Some((key, l4)) if key == region && self.ref_state(l4) == RefState::Live => l4,
+            Some((key, l4)) if key == region && self.ref_state(l4) == RefState::Live => {
+                l4.idx as usize
+            }
             _ => {
-                let path = self.walk_path(iova).ok_or(PtError::NotMapped(iova.pfn()))?;
-                self.unmap_cache = Some((region, path.l4));
-                path.l4
+                let l4 = self
+                    .slot_at(iova, 4)
+                    .ok_or(PtError::NotMapped(iova.pfn()))?;
+                self.unmap_cache = Some((region, self.page_ref(l4)));
+                l4
             }
         };
         let idx = iova.pt_index(4);
-        let leaf = self.page_mut(l4);
-        match leaf.entries[idx] {
-            Some(PtEntry::Leaf(_)) => {
-                leaf.entries[idx] = None;
-                leaf.live -= 1;
-                Ok(())
-            }
-            _ => Err(PtError::NotMapped(iova.pfn())),
+        if self.word(l4, idx) == 0 {
+            return Err(PtError::NotMapped(iova.pfn()));
         }
+        self.clear(l4, idx);
+        Ok(())
     }
 
     /// Reclaims all pages of `level` whose full span is inside `range`.
@@ -711,42 +738,35 @@ impl IoPageTable {
         let mut region = first;
         while (region + 1) * span - 1 <= hi {
             let base_iova = Iova::from_pfn(region * span);
-            if let Some(target) = self.child_ref_at(base_iova, level) {
-                // Detach from parent and free.
-                let parent = self
-                    .child_ref_at(base_iova, level - 1)
-                    .expect("child exists, so the parent path must too");
-                let pidx = base_iova.pt_index(level - 1);
-                let p = self.page_mut(parent);
-                debug_assert!(matches!(p.entries[pidx], Some(PtEntry::Child(_))));
-                p.entries[pidx] = None;
-                p.live -= 1;
-                self.free_page(target);
-                out.reclaimed.push(ReclaimedPage {
-                    level,
-                    region_key: region,
-                });
+            let pidx = base_iova.pt_index(level - 1);
+            if let Some(parent) = self.slot_at(base_iova, level - 1) {
+                if let Some(target) = self.child(parent, pidx) {
+                    // Detach from parent and free.
+                    self.clear(parent, pidx);
+                    self.free_page(target);
+                    out.reclaimed.push(ReclaimedPage {
+                        level,
+                        region_key: region,
+                    });
+                }
             }
             region += 1;
         }
     }
 
-    /// Ref to the page of `level` covering `iova` (level 1 returns the
-    /// root). `None` if not present.
-    fn child_ref_at(&self, iova: Iova, level: u8) -> Option<PageRef> {
-        let mut cur = self.root;
+    /// Slot of the page of `level` covering `iova` (level 1 is the root).
+    /// `None` if not present.
+    fn slot_at(&self, iova: Iova, level: u8) -> Option<usize> {
+        let mut cur = self.root.idx as usize;
         for l in 1..level {
-            match self.page(cur).entries[iova.pt_index(l)] {
-                Some(PtEntry::Child(c)) => cur = c,
-                _ => return None,
-            }
+            cur = self.child(cur, iova.pt_index(l))?;
         }
         Some(cur)
     }
 
     /// Number of live page-table pages (including the root).
     pub fn live_pages(&self) -> usize {
-        self.slots.iter().filter(|s| s.page.is_some()).count()
+        self.meta.iter().filter(|m| m.level != 0).count()
     }
 
     /// Lifetime counters.
@@ -754,25 +774,39 @@ impl IoPageTable {
         self.stats
     }
 
-    /// Verifies structural invariants: live counts match populated entries
-    /// and no child ref is stale. Test helper.
+    /// Verifies structural invariants: live counts match populated entries,
+    /// every entry kind sits at its level, free slots are empty, and no
+    /// child ref is stale. Test helper.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(page) = &slot.page else { continue };
-            let live = page.entries.iter().filter(|e| e.is_some()).count();
-            if live != page.live as usize {
-                return Err(format!("slot {i}: live {} != counted {live}", page.live));
+        for (slot, m) in self.meta.iter().enumerate() {
+            let words = self.words(slot);
+            let live = words.iter().filter(|&&e| e != 0).count();
+            if live != m.live as usize {
+                return Err(format!("slot {slot}: live {} != counted {live}", m.live));
             }
-            for e in page.entries.iter().flatten() {
-                if let PtEntry::Child(c) = e {
-                    if self.ref_state(*c) == RefState::Stale {
-                        return Err(format!("slot {i}: dangling child ref"));
+            for &e in words.iter().filter(|&&e| e != 0) {
+                match (e & TAG_MASK, m.level) {
+                    (TAG_CHILD, 1..=3) => {
+                        let child = (e & PAYLOAD) as usize;
+                        match self.meta.get(child) {
+                            Some(c) if c.level == 0 => {
+                                return Err(format!("slot {slot}: dangling child ref"));
+                            }
+                            Some(c) if c.level != m.level + 1 => {
+                                return Err(format!(
+                                    "slot {slot}: level {} child under level {}",
+                                    c.level, m.level
+                                ));
+                            }
+                            Some(_) => {}
+                            None => return Err(format!("slot {slot}: child {child} out of range")),
+                        }
                     }
-                    let child_level = self.page(*c).level;
-                    if child_level != page.level + 1 {
+                    (TAG_LEAF, 4) | (TAG_HUGE, 3) => {}
+                    (tag, level) => {
                         return Err(format!(
-                            "slot {i}: level {} child under level {}",
-                            child_level, page.level
+                            "slot {slot}: entry tag {} at level {level}",
+                            tag >> 62
                         ));
                     }
                 }
@@ -989,5 +1023,95 @@ mod tests {
         assert_eq!(s.unmaps, 2);
         assert_eq!(s.pages_allocated, 4); // root + L2 + L3 + L4
         assert_eq!(s.pages_reclaimed, 0);
+    }
+
+    /// A small table holding every entry kind: 4 KB leaves, a huge leaf,
+    /// and one reclaimed (free) slot. Returns it with the IOVAs it maps.
+    fn small_table() -> (IoPageTable, Vec<Iova>) {
+        let mut pt = IoPageTable::new();
+        let mut mapped = Vec::new();
+        for pfn in [1000, 1001, 512 * 41 + 3] {
+            pt.map(iova(pfn), pa(pfn + 9)).unwrap();
+            mapped.push(iova(pfn));
+        }
+        pt.map_huge(iova(512 * 80), pa(512 * 7)).unwrap();
+        mapped.extend([iova(512 * 80), iova(512 * 80 + 511)]);
+        let doomed = 512 * 40;
+        for i in 0..512 {
+            pt.map(iova(doomed + i), pa(i + 1)).unwrap();
+        }
+        let out = pt.unmap_range(IovaRange::new(iova(doomed), 512)).unwrap();
+        assert_eq!(out.reclaimed.len(), 1);
+        assert_eq!(pt.live_pages() + 1, pt.meta.len(), "one free slot");
+        (pt, mapped)
+    }
+
+    fn image(pt: &IoPageTable) -> Vec<u8> {
+        let mut w = fns_snap::SnapWriter::new();
+        pt.snap(&mut w);
+        w.finish()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<IoPageTable, fns_snap::SnapError> {
+        let mut r = fns_snap::SnapReader::new(bytes)?;
+        let pt = IoPageTable::unsnap(&mut r)?;
+        r.done()?;
+        Ok(pt)
+    }
+
+    #[test]
+    fn snapshot_round_trips_byte_for_byte() {
+        let (pt, mapped) = small_table();
+        let bytes = image(&pt);
+        let back = restore(&bytes).unwrap();
+        assert_eq!(image(&back), bytes);
+        for &v in &mapped {
+            assert_eq!(back.lookup(v), pt.lookup(v));
+        }
+        back.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused_or_restores_a_sound_table() {
+        let (pt, mapped) = small_table();
+        let clean = image(&pt);
+        // Body only: the magic, the format version and the checksum have
+        // their own refusals in `fns_snap`.
+        let (body_start, body_end) = (fns_snap::MAGIC.len() + 4, clean.len() - 8);
+        let (mut restored, mut refused) = (0, 0);
+        for bit in body_start * 8..body_end * 8 {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            fns_snap::reseal(&mut bytes);
+            let outcome = std::panic::catch_unwind(|| {
+                let Ok(mut pt) = restore(&bytes) else {
+                    return false;
+                };
+                for &v in &mapped {
+                    pt.lookup(v);
+                }
+                pt.check_invariants().unwrap();
+                // The restored table keeps working: unmap what the clean
+                // image mapped (some of it may be gone), map afresh, and
+                // map into a new region, which takes a slot off the free
+                // list.
+                for &v in &mapped[..3] {
+                    let _ = pt.unmap_range(IovaRange::new(v, 1));
+                }
+                let _ = pt.map(iova(1000), pa(3));
+                let _ = pt.map(iova(512 * 300), pa(4));
+                pt.check_invariants().unwrap();
+                true
+            });
+            match outcome {
+                Ok(true) => restored += 1,
+                Ok(false) => refused += 1,
+                Err(_) => panic!("bit {bit} (byte {}) panicked", bit / 8),
+            }
+        }
+        assert!(
+            restored > 0 && refused > 0,
+            "{restored} restored, {refused} refused"
+        );
     }
 }

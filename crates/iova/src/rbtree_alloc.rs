@@ -72,6 +72,13 @@ impl RbTreeAllocator {
         self.align_to_size = align;
     }
 
+    /// Where the next top-down search starts (Linux's cached node): every
+    /// allocation sets it to the new range's start and a free above it
+    /// raises it (for tests/inspection).
+    pub fn search_start(&self) -> u64 {
+        self.search_start
+    }
+
     /// Read access to the underlying interval tree (for tests/inspection).
     pub fn tree(&self) -> &RbIntervalTree {
         &self.tree
@@ -106,21 +113,37 @@ impl RbTreeAllocator {
     }
 
     fn try_alloc_below(&mut self, start: u64, pages: u64) -> Option<IovaRange> {
-        let mut high = start; // candidate range must end below this
+        // Candidates must end below `high`. `blocker` is the range that
+        // blocked the previous candidate: every retry ends below it, so the
+        // next blocker is found by stepping to its in-order predecessor
+        // rather than by a fresh root-to-leaf descent. Only when that
+        // predecessor starts at or above the new candidate's end (the
+        // candidate slid past an alignment hole holding other ranges) does
+        // the search descend again, rather than step through every range in
+        // the hole. Both give the same answer; the descent bounds the cost.
+        let mut high = start;
+        let mut blocker: Option<usize> = None;
         loop {
             if high < pages {
                 return None;
             }
             let cand_lo = self.align_down(high - pages, pages);
+            let end = cand_lo + pages;
             // Highest existing range starting below the candidate's end.
-            match self.tree.prev_below(cand_lo + pages) {
-                Some((lo, hi)) if hi >= cand_lo => {
+            let below = match blocker.map(|b| self.tree.predecessor(b)) {
+                None => self.tree.prev_below_node(end),
+                Some(Some(p)) if self.tree.range(p).0 >= end => self.tree.prev_below_node(end),
+                Some(p) => p.map(|p| (p, self.tree.range(p))),
+            };
+            match below {
+                Some((i, (lo, hi))) if hi >= cand_lo => {
                     // Conflict: slide the candidate below the blocking range.
                     high = lo;
+                    blocker = Some(i);
                 }
                 _ => {
                     self.tree
-                        .insert(cand_lo, cand_lo + pages - 1)
+                        .insert(cand_lo, end - 1)
                         .expect("gap search found an overlapping slot");
                     self.stats.allocs += 1;
                     self.stats.tree_allocs += 1;

@@ -324,17 +324,38 @@ fn armed_observability_survives_checkpoint_restore() {
 #[test]
 fn corrupted_snapshots_restore_or_refuse_without_panicking() {
     // A checkpoint is an input file: a corrupt one must come back as a
-    // typed error, never a panic. Mutate one 8-byte word at a time,
-    // re-seal so the checksum passes, and let every decoder behind it
-    // (tap section included) see the damage.
-    let mut cfg = iperf_config(ProtectionMode::LinuxStrict, 5, 256);
-    cfg.warmup = 200_000;
-    cfg.measure = 400_000;
-    cfg.trace = TraceConfig::all();
-    cfg.observe = ObserveConfig::full();
-    cfg.audit = fns::oracle::AuditConfig::on();
+    // typed error, never a panic. The shapes: LinuxStrict with the full
+    // observability and audit planes armed (tap section included),
+    // hugepage-pin (huge-leaf entries), churn under F&S (three protection
+    // domains), and F&S with hugepages, whose collapsed PT-L4 directory
+    // leaves a reclaimed page-table slot in the image at 300 us.
+    let mut strict = iperf_config(ProtectionMode::LinuxStrict, 5, 256);
+    strict.warmup = 200_000;
+    strict.measure = 400_000;
+    strict.trace = TraceConfig::all();
+    strict.observe = ObserveConfig::full();
+    strict.audit = fns::oracle::AuditConfig::on();
+    fuzz_snapshot(strict, 300_000, 0x5eed);
+    let mut hugepage = iperf_config(ProtectionMode::HugepagePinned, 5, 256);
+    hugepage.warmup = 200_000;
+    hugepage.measure = 400_000;
+    fuzz_snapshot(hugepage, 300_000, 0x5eed + 1);
+    let mut churn = fns::apps::churn_config(ProtectionMode::FastAndSafe, 16, 128 * 1024);
+    churn.warmup = 500_000;
+    churn.measure = 1_000_000;
+    fuzz_snapshot(churn, 1_000_000, 0x5eed + 2);
+    let mut fns_huge = iperf_config(ProtectionMode::FnsHugeStrict, 5, 256);
+    fns_huge.warmup = 200_000;
+    fns_huge.measure = 400_000;
+    fuzz_snapshot(fns_huge, 300_000, 0x5eed + 3);
+}
+
+/// Mutates one 8-byte word of a mid-run checkpoint at a time, re-seals
+/// it so the checksum passes, and requires every decoder behind it to
+/// restore or refuse without panicking.
+fn fuzz_snapshot(cfg: SimConfig, at: u64, seed: u64) {
     let mut sim = HostSim::new(cfg);
-    sim.step_until(300_000);
+    sim.step_until(at);
     let clean = sim.snapshot();
     drop(sim);
     assert!(
@@ -343,7 +364,7 @@ fn corrupted_snapshots_restore_or_refuse_without_panicking() {
     );
     // Header (magic + version) and the checksum word stay intact.
     let words = (clean.len() - 8) / 8;
-    let mut rng = fns::sim::SimRng::seed(0x5eed);
+    let mut rng = fns::sim::SimRng::seed(seed);
     let (mut restored, mut refused) = (0, 0);
     for i in 0..1000 {
         let mut bytes = clean.clone();
@@ -363,11 +384,14 @@ fn corrupted_snapshots_restore_or_refuse_without_panicking() {
         match outcome {
             Ok(true) => restored += 1,
             Ok(false) => refused += 1,
-            Err(_) => panic!("restore panicked on mutation {i}: word {at} = {new:#x}"),
+            Err(_) => panic!(
+                "{:?}: restore panicked on mutation {i}: word {at} = {new:#x}",
+                cfg.mode
+            ),
         }
     }
     assert_eq!(restored + refused, 1000);
-    assert!(refused > 0, "no mutation was refused");
+    assert!(refused > 0, "{:?}: no mutation was refused", cfg.mode);
 }
 
 /// Multi-device, multi-tenant scenarios (2 NICs × 4 queues + a storage
