@@ -78,8 +78,9 @@ pub fn churn_config(mode: ProtectionMode, conns: u32, conn_bytes: u64) -> SimCon
 /// ROADMAP's tens-of-thousands-of-flows regime. Ships with `shards: 1`
 /// so the sharded engine (one shard per NIC) carries it by default;
 /// `--shards N` raises the worker-thread cap without changing a bit of
-/// the result. Peer-only flows (`IperfRx`) keep every id below the
-/// `TX_FLOW_BASE` segment split at this flow count.
+/// the result. Its peer-only flows (`IperfRx`) run past the
+/// `TX_FLOW_BASE` segment split (ids 1000–20 479 land in the high
+/// segment); with no DUT-sent flows there is nothing for them to alias.
 pub fn dc_scale_config(mode: ProtectionMode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode);
     cfg.flows = 20_480;

@@ -1,5 +1,7 @@
 //! Simulation configuration: testbed parameters and workload selection.
 
+use std::ops::Range;
+
 use fns_faults::FaultConfig;
 use fns_iommu::IommuConfig;
 use fns_mem::MemoryModel;
@@ -9,6 +11,7 @@ use fns_sim::time::{Bandwidth, Nanos, MICROS, MILLIS};
 use fns_trace::{ObserveConfig, ProbeConfig, TraceConfig};
 
 use crate::driver::Sabotage;
+use crate::flow_table::TX_FLOW_BASE;
 use crate::mode::ProtectionMode;
 use crate::watchdog::WatchdogConfig;
 
@@ -373,11 +376,32 @@ impl SimConfig {
         (pages / self.pages_per_descriptor as u64).max(2) as usize
     }
 
+    /// The flow ids the workload creates: `(peer, dut)`. Peer→DUT flows
+    /// count up from 0; DUT→peer flows count up from [`TX_FLOW_BASE`]
+    /// (the RPC workload's one response flow sits at `TX_FLOW_BASE +
+    /// flows`, beside its request flow `flows`).
+    pub fn flow_ids(&self) -> (Range<u32>, Range<u32>) {
+        let flows = self.flows;
+        let dut = |lo: u32, n: u32| {
+            let lo = TX_FLOW_BASE.saturating_add(lo);
+            lo..lo.saturating_add(n)
+        };
+        match self.workload {
+            Workload::Bidirectional { tx_flows } => (0..flows, dut(0, tx_flows)),
+            Workload::RequestResponse { .. } => (0..flows, dut(0, flows)),
+            Workload::RpcColocated { .. } => (0..flows.saturating_add(1), dut(flows, 1)),
+            _ => (0..flows, 0..0),
+        }
+    }
+
     /// Checks that the configuration describes a host that can run: every
-    /// count that sizes the host or its traffic is at least 1. A zero core
-    /// count or descriptor size would panic mid-construction, and a zero
-    /// ring, MTU or flow count would run and report a different experiment
-    /// than the one asked for.
+    /// count that sizes the host or its traffic is at least 1, and peer
+    /// flow ids stay clear of DUT flow ids. A zero core count or descriptor
+    /// size would panic mid-construction, and a zero ring, MTU or flow
+    /// count would run and report a different experiment than the one
+    /// asked for. A peer flow id at or above [`TX_FLOW_BASE`] in a workload
+    /// whose DUT also sends is the same `FlowId` as a DUT flow: the two
+    /// would share one core assignment, the later insert winning.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let counts = [
             (self.cores as u64, "cores must be at least 1"),
@@ -392,10 +416,17 @@ impl SimConfig {
                 "pages_per_descriptor must be at least 1",
             ),
         ];
-        match counts.iter().find(|&&(n, _)| n == 0) {
-            Some(&(_, reason)) => Err(ConfigError(reason)),
-            None => Ok(()),
+        if let Some(&(_, reason)) = counts.iter().find(|&&(n, _)| n == 0) {
+            return Err(ConfigError(reason));
         }
+        let (peer, dut) = self.flow_ids();
+        if !dut.is_empty() && peer.end > TX_FLOW_BASE {
+            return Err(ConfigError(
+                "flows: a workload whose DUT also sends takes at most 1000 peer flow ids \
+                 (rpc: 999 flows plus its request flow); more would alias DUT flow ids",
+            ));
+        }
+        Ok(())
     }
 
     /// Simulation end time.
@@ -464,6 +495,40 @@ mod tests {
             zero(&mut bad);
             assert!(bad.validate().is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn validate_refuses_peer_ids_that_alias_dut_ids() {
+        let mut c = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        let rr = Workload::RequestResponse {
+            request_bytes: 64,
+            response_bytes: 64,
+            depth: 1,
+            dut_is_server: true,
+            app_cpu_per_request_ns: 0,
+            app_cpu_per_kb_ns: 0,
+        };
+        let rpc = Workload::RpcColocated {
+            rpc_bytes: 64,
+            response_bytes: 64,
+        };
+        for (workload, most) in [
+            (Workload::Bidirectional { tx_flows: 4 }, 1000),
+            (rr, 1000),
+            (rpc, 999),
+        ] {
+            c.workload = workload;
+            c.flows = most;
+            assert_eq!(c.validate(), Ok(()), "{workload:?} at {most} flows");
+            c.flows = most + 1;
+            assert!(c.validate().is_err(), "{workload:?} at {} flows", most + 1);
+        }
+        // Peer-only workloads may spill peer ids into the high segment.
+        c.workload = Workload::IperfRx;
+        c.flows = 20_480;
+        assert_eq!(c.validate(), Ok(()));
+        c.workload = Workload::Bidirectional { tx_flows: 0 };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

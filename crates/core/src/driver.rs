@@ -206,9 +206,6 @@ pub struct DmaDriver {
     /// Epoch boundaries in [`DmaDriver::pending_wipe_reqs`]: entry `i` is
     /// the length of the `i`-th oldest un-retired epoch.
     pending_wipe_epochs: std::collections::VecDeque<u32>,
-    /// Scratch buffer holding a retiring epoch, so the tap sees it as a
-    /// slice.
-    epoch_scratch: Vec<InvalidationRequest>,
     /// Recycled descriptor-page vectors (from completed Rx descriptors and
     /// Tx packets), reused by `prepare_rx_descriptor`/`tx_map`.
     page_pool: Vec<Vec<DescriptorPage>>,
@@ -375,7 +372,6 @@ impl DmaDriver {
             quarantine: parts.quarantine,
             pending_wipe_reqs: parts.pending_wipe_reqs,
             pending_wipe_epochs: parts.pending_wipe_epochs,
-            epoch_scratch: Vec::new(),
             page_pool: parts.page_pool,
             req_scratch: parts.req_scratch,
             reclaim_scratch: parts.reclaim_scratch,
@@ -670,15 +666,18 @@ impl DmaDriver {
             .pending_wipe_epochs
             .pop_front()
             .expect("non-empty epoch ring") as usize;
-        self.epoch_scratch.clear();
-        self.epoch_scratch.extend(self.pending_wipe_reqs.drain(..n));
-        for r in &self.epoch_scratch {
+        // The ring is made contiguous in place (a copy only when it has
+        // wrapped), so the epoch is applied and handed to the tap as one
+        // slice of the ring itself.
+        let epoch = &self.pending_wipe_reqs.make_contiguous()[..n];
+        for r in epoch {
             Self::apply_request(&mut self.iommu, r);
         }
         self.tap.emit(DmaEvent::WipeRetired {
-            epoch: &self.epoch_scratch,
+            epoch,
             backlog: self.pending_wipe_epochs.len(),
         });
+        self.pending_wipe_reqs.drain(..n);
     }
 
     /// Retires up to `max` queued PTcache wipe epochs (called by the
@@ -748,9 +747,9 @@ impl DmaDriver {
     }
 
     /// Serializes the full driver state for checkpointing. Scratch pools
-    /// (`page_pool`, `req_scratch`, `reclaim_scratch`, `epoch_scratch`) are
-    /// not serialized — they are behaviorally invisible storage caches and
-    /// come back empty. The tap is also excluded: the simulation owns it
+    /// (`page_pool`, `req_scratch`, `reclaim_scratch`) are not serialized
+    /// — they are behaviorally invisible storage caches and come back
+    /// empty. The tap is also excluded: the simulation owns it
     /// and reattaches it on restore.
     pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
         self.iommu.snap(w);
@@ -965,7 +964,6 @@ impl DmaDriver {
             quarantine,
             pending_wipe_reqs,
             pending_wipe_epochs,
-            epoch_scratch: Vec::new(),
             page_pool,
             req_scratch,
             reclaim_scratch,

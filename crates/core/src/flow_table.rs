@@ -28,6 +28,19 @@ fn split(flow: FlowId) -> (bool, usize) {
     }
 }
 
+/// Slots each segment needs to hold every flow id in `ids`: `(low, high)`.
+fn segment_lens(ids: std::ops::Range<u32>) -> (usize, usize) {
+    if ids.is_empty() {
+        return (0, 0);
+    }
+    let low = if ids.start < TX_FLOW_BASE {
+        ids.end.min(TX_FLOW_BASE)
+    } else {
+        0
+    };
+    (low as usize, ids.end.saturating_sub(TX_FLOW_BASE) as usize)
+}
+
 /// A dense map from [`FlowId`] to `T`, segmented at [`TX_FLOW_BASE`].
 ///
 /// # Examples
@@ -101,12 +114,14 @@ impl<T> FlowTable<T> {
         self.len = 0;
     }
 
-    /// Pre-sizes the segments for `low` peer-side flows and `high`
-    /// DUT-side flows, so datacenter-scale scenarios (tens of thousands
-    /// of flows) fill the table without the doubling reallocations that
-    /// `insert`'s incremental `resize_with` would otherwise trigger.
-    /// Capacity-only: no observable state changes.
-    pub fn reserve(&mut self, low: usize, high: usize) {
+    /// Pre-sizes each segment for the flow ids in `ids` that land in it,
+    /// so datacenter-scale scenarios (tens of thousands of flows) fill the
+    /// table without the doubling reallocations that `insert`'s
+    /// incremental `resize_with` would otherwise trigger. Repeated calls
+    /// keep the largest size asked of each segment. Capacity-only: no
+    /// observable state changes.
+    pub fn reserve(&mut self, ids: std::ops::Range<u32>) {
+        let (low, high) = segment_lens(ids);
         self.low.reserve(low.saturating_sub(self.low.len()));
         self.high.reserve(high.saturating_sub(self.high.len()));
     }
@@ -217,7 +232,8 @@ impl FlowSet {
     }
 
     /// Pre-sizes both segments (see [`FlowTable::reserve`]).
-    pub fn reserve(&mut self, low: usize, high: usize) {
+    pub fn reserve(&mut self, ids: std::ops::Range<u32>) {
+        let (low, high) = segment_lens(ids);
         self.low.reserve(low.saturating_sub(self.low.len()));
         self.high.reserve(high.saturating_sub(self.high.len()));
     }
@@ -313,6 +329,37 @@ mod tests {
         let dense_vals: Vec<usize> = t.values().copied().collect();
         let tree_vals: Vec<usize> = b.values().copied().collect();
         assert_eq!(dense_vals, tree_vals);
+    }
+
+    #[test]
+    fn reserved_flow_ids_fill_without_reallocating() {
+        use crate::config::{SimConfig, Workload};
+        use crate::mode::ProtectionMode;
+        // dc-scale's 20 480 peer flows run past TX_FLOW_BASE into the high
+        // segment; bidir's DUT flows live only there.
+        let mut dc = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        dc.flows = 20_480;
+        let mut bidir = dc;
+        bidir.flows = 1000;
+        bidir.workload = Workload::Bidirectional { tx_flows: 1000 };
+        for cfg in [dc, bidir] {
+            let (peer, dut) = cfg.flow_ids();
+            for ids in [peer, dut] {
+                let mut t = FlowTable::new();
+                let mut set = FlowSet::new();
+                t.reserve(ids.clone());
+                set.reserve(ids.clone());
+                let before = (t.low.as_ptr(), t.high.as_ptr());
+                let set_before = (set.low.as_ptr(), set.high.as_ptr());
+                for id in ids.clone() {
+                    t.insert(FlowId(id), id);
+                    set.insert(FlowId(id));
+                }
+                assert_eq!(t.len(), ids.len());
+                assert_eq!((t.low.as_ptr(), t.high.as_ptr()), before, "{ids:?}");
+                assert_eq!((set.low.as_ptr(), set.high.as_ptr()), set_before);
+            }
+        }
     }
 
     #[test]

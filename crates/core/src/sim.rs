@@ -1326,24 +1326,19 @@ impl HostSim {
     fn init_workload(&mut self) {
         let cores = self.cfg.cores;
         let single = self.cfg.topology.is_single();
-        // Pre-size the dense flow tables: dc-scale scenarios insert tens
-        // of thousands of flows, and growing segment-by-segment through
-        // `insert`'s incremental resize would pay repeated doubling
-        // reallocations during construction.
-        let low = self.cfg.flows as usize + 1;
-        let high = match self.cfg.workload {
-            Workload::Bidirectional { tx_flows } => tx_flows as usize,
-            Workload::RequestResponse { .. } => self.cfg.flows as usize,
-            Workload::RpcColocated { .. } => self.cfg.flows as usize + 1,
-            _ => 0,
-        };
-        self.peer_senders.reserve(low, high);
-        self.dut_receivers.reserve(low, high);
-        self.dut_senders.reserve(low, high);
-        self.peer_receivers.reserve(low, high);
-        self.core_of.reserve(low, high);
-        self.rto_armed_peer.reserve(low, high);
-        self.rto_armed_dut.reserve(low, high);
+        // Pre-size the dense flow tables for the ids each one is keyed by:
+        // dc-scale scenarios insert tens of thousands of flows, and growing
+        // segment-by-segment through `insert`'s incremental resize would
+        // pay repeated doubling reallocations during construction.
+        let (peer, dut) = self.cfg.flow_ids();
+        self.peer_senders.reserve(peer.clone());
+        self.dut_receivers.reserve(peer.clone());
+        self.rto_armed_peer.reserve(peer.clone());
+        self.core_of.reserve(peer);
+        self.dut_senders.reserve(dut.clone());
+        self.peer_receivers.reserve(dut.clone());
+        self.rto_armed_dut.reserve(dut.clone());
+        self.core_of.reserve(dut);
         match self.cfg.workload {
             Workload::IperfRx => {
                 for i in 0..self.cfg.flows {

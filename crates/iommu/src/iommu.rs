@@ -577,12 +577,16 @@ impl Iommu {
     /// even for the same IOVAs — are untouched, as on real hardware where
     /// the invalidation descriptor names a single domain.
     pub fn invalidate_range_in(&mut self, d: u16, range: IovaRange, scope: InvalidationScope) {
-        for iova in range.iter_pages() {
-            if self.iotlb.remove(dk(d, iova.pfn())).is_some() {
-                self.stats.iotlb_invalidations += 1;
+        // Each removal loop is skipped when its cache is empty, as every
+        // cache is while the allocator ages before the first translation.
+        if !self.iotlb.is_empty() {
+            for iova in range.iter_pages() {
+                if self.iotlb.remove(dk(d, iova.pfn())).is_some() {
+                    self.stats.iotlb_invalidations += 1;
+                }
             }
         }
-        {
+        if !self.iotlb_huge.is_empty() {
             let lo = range.base().l4_page_key();
             let hi = range.page(range.pages() - 1).l4_page_key();
             for key in lo..=hi {
@@ -614,15 +618,17 @@ impl Iommu {
     pub fn invalidate_ptcache_leaf_in(&mut self, d: u16, range: IovaRange) {
         let lo = range.base();
         let hi = range.page(range.pages() - 1);
-        for key in lo.l4_page_key()..=hi.l4_page_key() {
-            if self.ptc_l3.remove(dk(d, key)).is_some() {
-                self.stats.ptcache_invalidations += 1;
+        if !self.ptc_l3.is_empty() {
+            for key in lo.l4_page_key()..=hi.l4_page_key() {
+                if self.ptc_l3.remove(dk(d, key)).is_some() {
+                    self.stats.ptcache_invalidations += 1;
+                }
             }
         }
         // Contained upper-level spans (1 GB / 512 GB) — only relevant for
         // very large unmaps.
         let pages = range.pages();
-        if pages >= crate::pagetable::L3_SPAN_PFNS {
+        if pages >= crate::pagetable::L3_SPAN_PFNS && !self.ptc_l2.is_empty() {
             let first = range.pfn_lo().div_ceil(crate::pagetable::L3_SPAN_PFNS);
             let mut region = first;
             while (region + 1) * crate::pagetable::L3_SPAN_PFNS - 1 <= range.pfn_hi() {
@@ -632,7 +638,7 @@ impl Iommu {
                 region += 1;
             }
         }
-        if pages >= crate::pagetable::L2_SPAN_PFNS {
+        if pages >= crate::pagetable::L2_SPAN_PFNS && !self.ptc_l1.is_empty() {
             let first = range.pfn_lo().div_ceil(crate::pagetable::L2_SPAN_PFNS);
             let mut region = first;
             while (region + 1) * crate::pagetable::L2_SPAN_PFNS - 1 <= range.pfn_hi() {
@@ -655,14 +661,18 @@ impl Iommu {
     pub fn invalidate_ptcache_upper_in(&mut self, d: u16, range: IovaRange) {
         let lo = range.base();
         let hi = range.page(range.pages() - 1);
-        for key in lo.l3_page_key()..=hi.l3_page_key() {
-            if self.ptc_l2.remove(dk(d, key)).is_some() {
-                self.stats.ptcache_invalidations += 1;
+        if !self.ptc_l2.is_empty() {
+            for key in lo.l3_page_key()..=hi.l3_page_key() {
+                if self.ptc_l2.remove(dk(d, key)).is_some() {
+                    self.stats.ptcache_invalidations += 1;
+                }
             }
         }
-        for key in lo.l2_page_key()..=hi.l2_page_key() {
-            if self.ptc_l1.remove(dk(d, key)).is_some() {
-                self.stats.ptcache_invalidations += 1;
+        if !self.ptc_l1.is_empty() {
+            for key in lo.l2_page_key()..=hi.l2_page_key() {
+                if self.ptc_l1.remove(dk(d, key)).is_some() {
+                    self.stats.ptcache_invalidations += 1;
+                }
             }
         }
     }

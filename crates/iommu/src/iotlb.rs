@@ -170,7 +170,10 @@ impl Iotlb {
 
     /// Returns `true` if no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        match self {
+            Iotlb::FullAssoc(c) => c.is_empty(),
+            Iotlb::SetAssoc { sets } => sets.iter().all(Lru64::is_empty),
+        }
     }
 
     /// Invalidates everything.

@@ -699,10 +699,14 @@ impl IoPageTable {
             self.clear_leaf(iova)?;
             out.unmapped += 1;
         }
-        // Reclaim fully covered pages, bottom-up (L4, then L3, then L2).
-        self.reclaim_level(range, 4, L4_SPAN_PFNS, &mut out);
-        self.reclaim_level(range, 3, L3_SPAN_PFNS, &mut out);
-        self.reclaim_level(range, 2, L2_SPAN_PFNS, &mut out);
+        // Reclaim fully covered pages, bottom-up (L4, then L3, then L2). A
+        // range shorter than the smallest span (every descriptor-sized
+        // unmap) cannot cover a whole page at any level.
+        if range.pages() >= L4_SPAN_PFNS {
+            self.reclaim_level(range, 4, L4_SPAN_PFNS, &mut out);
+            self.reclaim_level(range, 3, L3_SPAN_PFNS, &mut out);
+            self.reclaim_level(range, 2, L2_SPAN_PFNS, &mut out);
+        }
         self.stats.unmaps += out.unmapped;
         Ok(out)
     }

@@ -349,3 +349,52 @@ fn packed_table_matches_the_btreemap_reference() {
         run(seed, 1500);
     }
 }
+
+/// Unmaps shorter than a PT-L4 span (1–511 pages) skip the reclamation
+/// scans. Mapped over three adjacent 2 MB regions and unmapped at random
+/// offsets — a third of them straddling a region boundary — every such
+/// unmap must report what the reference's full bottom-up scan reports,
+/// and leave the same counters and pages behind.
+#[test]
+fn short_unmaps_match_a_full_reclaim_scan() {
+    let mut rng = SimRng::seed(0x511);
+    let mut pt = IoPageTable::new();
+    let mut model = Model::new();
+    let base = 7 * L4_SPAN_PFNS;
+    let end = base + 3 * L4_SPAN_PFNS;
+    let mut next_pa = 1u64;
+    let mut map = |pt: &mut IoPageTable, model: &mut Model, lo: u64, hi: u64| {
+        for pfn in lo..hi {
+            next_pa += 1;
+            let got = pt.map(Iova::from_pfn(pfn), PhysAddr::from_pfn(next_pa));
+            assert_eq!(got, model.map(pfn, next_pa));
+        }
+    };
+    map(&mut pt, &mut model, base, end);
+    let mut straddles = 0;
+    for op in 0..600 {
+        let len = 1 + rng.index(L4_SPAN_PFNS as usize - 1) as u64;
+        let lo = if rng.chance(1.0 / 3.0) {
+            // End past the first or second region boundary.
+            let boundary = base + L4_SPAN_PFNS * (1 + rng.index(2) as u64);
+            boundary - 1 - rng.index(len as usize) as u64
+        } else {
+            base + rng.index((end - base - len + 1) as usize) as u64
+        };
+        let hi = lo + len;
+        straddles += (lo / L4_SPAN_PFNS != (hi - 1) / L4_SPAN_PFNS) as usize;
+        let got = pt
+            .unmap_range(IovaRange::new(Iova::from_pfn(lo), len))
+            .map(|o| (o.unmapped, o.reclaimed));
+        let want = model.unmap_range(lo, len).map(|r| (len, r));
+        assert_eq!(got, want, "op {op}: unmap {lo:#x}+{len}");
+        assert_eq!(pt.stats(), model.stats, "op {op}: counters");
+        assert_eq!(pt.live_pages(), model.live_pages(), "op {op}: live pages");
+        map(&mut pt, &mut model, lo, hi);
+    }
+    assert!(
+        straddles > 100,
+        "only {straddles} unmaps straddled a boundary"
+    );
+    pt.check_invariants().unwrap();
+}

@@ -6,9 +6,10 @@
 //! for CPU efficiency. This crate reproduces those mechanics from scratch:
 //!
 //! * [`types`] — the [`Iova`]/[`IovaRange`] address types,
-//! * [`rbtree`] — an arena-based red-black interval tree (the ground-truth
-//!   allocator, mirroring `drivers/iommu/iova.c`),
-//! * [`rbtree_alloc`] — top-down first-fit allocation over the tree,
+//! * [`range_set`] — the ordered set of allocated ranges that Linux keeps
+//!   in a red-black tree (`drivers/iommu/iova.c`),
+//! * [`rbtree_alloc`] — top-down first-fit allocation over that set (the
+//!   ground-truth allocator),
 //! * [`rcache`] — per-core magazine caches with a global depot (Linux's
 //!   `iova_rcache`), whose locality decay over time is exactly what
 //!   Figures 2e/3e measure,
@@ -27,13 +28,13 @@
 //! ```
 
 pub mod carver;
-pub mod rbtree;
+pub mod range_set;
 pub mod rbtree_alloc;
 pub mod rcache;
 pub mod types;
 
 pub use carver::ChunkCarver;
-pub use rbtree::RbIntervalTree;
+pub use range_set::RangeSet;
 pub use rbtree_alloc::RbTreeAllocator;
 pub use rcache::{CachingAllocator, RcacheConfig};
 pub use types::{Iova, IovaRange, IOVA_SPACE_TOP};
@@ -78,10 +79,10 @@ pub struct AllocStats {
     pub allocs: u64,
     /// Frees.
     pub frees: u64,
-    /// Allocations that had to fall through to the red-black tree
+    /// Allocations that had to fall through to the range tree
     /// (i.e. missed every cache layer).
     pub tree_allocs: u64,
-    /// Frees that had to push ranges back into the red-black tree.
+    /// Frees that had to push ranges back into the range tree.
     pub tree_frees: u64,
     /// Failed allocations (address space exhausted).
     pub failures: u64,

@@ -1,4 +1,5 @@
-//! Ground-truth IOVA allocator: top-down first fit over the red-black tree.
+//! Ground-truth IOVA allocator: top-down first fit over the allocated
+//! ranges (the red-black tree of Linux's allocator).
 //!
 //! Mirrors Linux's `__alloc_and_insert_iova_range`: candidate ranges descend
 //! from the top of the 48-bit space, and each allocation is size-aligned
@@ -7,11 +8,13 @@
 
 use fns_snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::rbtree::RbIntervalTree;
+use crate::range_set::RangeSet;
 use crate::types::{Iova, IovaRange, IOVA_SPACE_TOP, PAGE_SHIFT};
 use crate::{AllocError, AllocStats, IovaAllocator};
 
-/// Red-black-tree-backed IOVA allocator (no per-core caching).
+/// Linux's red-black-tree IOVA allocator (no per-core caching), over a
+/// [`RangeSet`]: its first fit depends only on the set of allocated
+/// ranges, so the tree's shape is not modelled.
 ///
 /// Every operation touches the global tree; Linux avoids this cost with the
 /// per-core caches modelled in [`crate::rcache`], at the price of the
@@ -32,7 +35,7 @@ use crate::{AllocError, AllocStats, IovaAllocator};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RbTreeAllocator {
-    tree: RbIntervalTree,
+    ranges: RangeSet,
     limit_pfn: u64,
     align_to_size: bool,
     /// Cached search start (Linux's `cached_node` optimization): everything
@@ -58,7 +61,7 @@ impl RbTreeAllocator {
     /// (i.e. `limit_pfn` is one past the top).
     pub fn with_limit(limit_pfn: u64) -> Self {
         Self {
-            tree: RbIntervalTree::new(),
+            ranges: RangeSet::new(),
             limit_pfn,
             align_to_size: true,
             search_start: limit_pfn,
@@ -79,9 +82,9 @@ impl RbTreeAllocator {
         self.search_start
     }
 
-    /// Read access to the underlying interval tree (for tests/inspection).
-    pub fn tree(&self) -> &RbIntervalTree {
-        &self.tree
+    /// Read access to the allocated ranges (for tests/inspection).
+    pub fn ranges(&self) -> &RangeSet {
+        &self.ranges
     }
 
     fn align_down(&self, pfn_lo: u64, pages: u64) -> u64 {
@@ -113,16 +116,28 @@ impl RbTreeAllocator {
     }
 
     fn try_alloc_below(&mut self, start: u64, pages: u64) -> Option<IovaRange> {
-        // Candidates must end below `high`. `blocker` is the range that
-        // blocked the previous candidate: every retry ends below it, so the
-        // next blocker is found by stepping to its in-order predecessor
-        // rather than by a fresh root-to-leaf descent. Only when that
-        // predecessor starts at or above the new candidate's end (the
-        // candidate slid past an alignment hole holding other ranges) does
-        // the search descend again, rather than step through every range in
-        // the hole. Both give the same answer; the descent bounds the cost.
+        let cand_lo = self.first_fit_below(start, pages)?;
+        self.ranges.insert_free(cand_lo, cand_lo + pages - 1);
+        self.stats.allocs += 1;
+        self.stats.tree_allocs += 1;
+        self.search_start = cand_lo;
+        Some(IovaRange::new(Iova::from_pfn(cand_lo), pages))
+    }
+
+    /// Start of the highest free, aligned `pages`-page slot lying wholly
+    /// below `start`.
+    fn first_fit_below(&self, start: u64, pages: u64) -> Option<u64> {
+        // Candidates must end below `high`. `below` walks the ranges under
+        // the candidate's end from the highest down: every retry ends below
+        // the range that blocked the previous candidate, so the next
+        // blocker is that range's in-order predecessor, one iterator step
+        // away. Only when that predecessor starts at or above the new
+        // candidate's end (the candidate slid past an alignment hole
+        // holding other ranges) does the search descend again, rather than
+        // step through every range in the hole. Both give the same answer;
+        // the descent bounds the cost.
         let mut high = start;
-        let mut blocker: Option<usize> = None;
+        let mut below = None;
         loop {
             if high < pages {
                 return None;
@@ -130,31 +145,23 @@ impl RbTreeAllocator {
             let cand_lo = self.align_down(high - pages, pages);
             let end = cand_lo + pages;
             // Highest existing range starting below the candidate's end.
-            let below = match blocker.map(|b| self.tree.predecessor(b)) {
-                None => self.tree.prev_below_node(end),
-                Some(Some(p)) if self.tree.range(p).0 >= end => self.tree.prev_below_node(end),
-                Some(p) => p.map(|p| (p, self.tree.range(p))),
+            let next = match below.as_mut().map(Iterator::next) {
+                Some(Some((lo, _))) if lo >= end => None,
+                stepped => stepped,
             };
-            match below {
-                Some((i, (lo, hi))) if hi >= cand_lo => {
-                    // Conflict: slide the candidate below the blocking range.
-                    high = lo;
-                    blocker = Some(i);
-                }
-                _ => {
-                    self.tree
-                        .insert(cand_lo, end - 1)
-                        .expect("gap search found an overlapping slot");
-                    self.stats.allocs += 1;
-                    self.stats.tree_allocs += 1;
-                    self.search_start = cand_lo;
-                    return Some(IovaRange::new(Iova::from_pfn(cand_lo), pages));
-                }
+            let next = match next {
+                Some(next) => next,
+                None => below.insert(self.ranges.below(end)).next(),
+            };
+            match next {
+                // Conflict: slide the candidate below the blocking range.
+                Some((lo, hi)) if hi >= cand_lo => high = lo,
+                _ => return Some(cand_lo),
             }
         }
     }
 
-    /// Removes a range from the tree (panics if it was never allocated).
+    /// Removes a range from the set (panics if it was never allocated).
     pub(crate) fn free_range(&mut self, range: IovaRange) {
         self.try_free_range(range)
             .unwrap_or_else(|_| panic!("freeing unallocated IOVA range {range}"));
@@ -166,11 +173,10 @@ impl RbTreeAllocator {
     /// only appear as the address space ages, which is exactly the decay
     /// curve the soak plane samples.
     pub fn fragmentation(&self) -> (u64, u64) {
-        let ranges = self.tree.iter_inorder();
         let mut spans = 0u64;
         let mut largest = 0u64;
-        for w in ranges.windows(2) {
-            let gap = w[1].0 - w[0].1 - 1;
+        for ((_, below_hi), (lo, _)) in self.ranges.iter().zip(self.ranges.iter().skip(1)) {
+            let gap = lo - below_hi - 1;
             if gap > 0 {
                 spans += 1;
                 largest = largest.max(gap);
@@ -179,14 +185,12 @@ impl RbTreeAllocator {
         (spans, largest)
     }
 
-    /// Serializes the full allocator state for checkpointing. The interval
-    /// tree travels logically (in-order ranges, re-inserted on restore):
-    /// every query on it is shape-independent, while `search_start` — which
-    /// *does* steer future allocations — travels verbatim.
+    /// Serializes the full allocator state for checkpointing. The ranges
+    /// travel in ascending order and are re-inserted on restore, while
+    /// `search_start` — which steers future allocations — travels verbatim.
     pub fn snap(&self, w: &mut SnapWriter) {
-        let ranges = self.tree.iter_inorder();
-        w.seq(ranges.len());
-        for (lo, hi) in ranges {
+        w.seq(self.ranges.len());
+        for (lo, hi) in self.ranges.iter() {
             w.u64(lo);
             w.u64(hi);
         }
@@ -199,7 +203,7 @@ impl RbTreeAllocator {
     /// Rebuilds an allocator captured by [`RbTreeAllocator::snap`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
         let n = r.seq()?;
-        let mut tree = RbIntervalTree::new();
+        let mut ranges = RangeSet::new();
         for _ in 0..n {
             let lo = r.u64()?;
             let hi = r.u64()?;
@@ -209,13 +213,13 @@ impl RbTreeAllocator {
                     tag: lo,
                 });
             }
-            tree.insert(lo, hi).map_err(|_| SnapError::BadTag {
+            ranges.insert(lo, hi).map_err(|_| SnapError::BadTag {
                 what: "overlapping iova range",
                 tag: lo,
             })?;
         }
         Ok(Self {
-            tree,
+            ranges,
             limit_pfn: r.u64()?,
             align_to_size: r.bool()?,
             search_start: r.u64()?,
@@ -223,10 +227,10 @@ impl RbTreeAllocator {
         })
     }
 
-    /// Removes a range from the tree, reporting an unbalanced free as an
+    /// Removes a range from the set, reporting an unbalanced free as an
     /// error instead of panicking.
     pub(crate) fn try_free_range(&mut self, range: IovaRange) -> Result<(), AllocError> {
-        if !self.tree.remove(range.pfn_lo()) {
+        if !self.ranges.remove(range.pfn_lo()) {
             return Err(AllocError::UnbalancedFree { range });
         }
         // Freed space above the cached search position becomes visible again.
@@ -274,7 +278,7 @@ impl IovaAllocator for RbTreeAllocator {
     }
 
     fn live_ranges(&self) -> usize {
-        self.tree.len()
+        self.ranges.len()
     }
 
     fn stats(&self) -> AllocStats {

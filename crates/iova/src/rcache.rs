@@ -481,7 +481,7 @@ mod tests {
         a.purge_caches();
         assert_eq!(a.cached_count(1), 0);
         assert_eq!(a.tree().live_ranges(), 0);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 
     #[test]

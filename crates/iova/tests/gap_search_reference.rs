@@ -1,20 +1,21 @@
-//! The allocator's predecessor-stepping gap search against the
-//! repeated-descent search it replaced, kept here as the reference.
+//! The allocator's predecessor-stepping gap search against a
+//! repeated-descent reference kept independent of the code under test.
 //!
-//! The reference runs a full root-to-leaf `prev_below` descent for every
-//! range that blocks a candidate. `RbTreeAllocator` descends once and then
-//! steps to in-order predecessors. Driven op for op by the same random
-//! alloc/free stream, the two must return the same ranges, the same
-//! failures and the same `search_start`, and hold the same tree.
+//! The reference holds its ranges in a plain `BTreeMap` (`lo → hi`) and
+//! runs one fresh `range(..end).next_back()` descent for every range that
+//! blocks a candidate. `RbTreeAllocator` descends once and then steps to
+//! in-order predecessors. Driven op for op by the same random alloc/free
+//! stream, the two must return the same ranges, the same failures and the
+//! same `search_start`, and hold the same set of ranges.
 
-use fns_iova::rbtree::RbIntervalTree;
+use std::collections::BTreeMap;
+
 use fns_iova::{IovaAllocator, IovaRange, RbTreeAllocator};
 use fns_sim::rng::SimRng;
 
-/// Top-down first fit with one `prev_below` descent per blocking range,
-/// the search `RbTreeAllocator` ran before it stepped by predecessor.
+/// Top-down first fit with one descent per blocking range.
 struct Reference {
-    tree: RbIntervalTree,
+    ranges: BTreeMap<u64, u64>,
     limit_pfn: u64,
     align_to_size: bool,
     search_start: u64,
@@ -23,7 +24,7 @@ struct Reference {
 impl Reference {
     fn new(limit_pfn: u64, align_to_size: bool) -> Self {
         Self {
-            tree: RbIntervalTree::new(),
+            ranges: BTreeMap::new(),
             limit_pfn,
             align_to_size,
             search_start: limit_pfn,
@@ -55,11 +56,11 @@ impl Reference {
                 return None;
             }
             let cand_lo = self.align_down(high - pages, pages);
-            match self.tree.prev_below(cand_lo + pages) {
-                Some((lo, hi)) if hi >= cand_lo => high = lo,
+            match self.ranges.range(..cand_lo + pages).next_back() {
+                Some((&lo, &hi)) if hi >= cand_lo => high = lo,
                 _ => {
                     let hi = cand_lo + pages - 1;
-                    self.tree.insert(cand_lo, hi).unwrap();
+                    assert_eq!(self.ranges.insert(cand_lo, hi), None);
                     self.search_start = cand_lo;
                     return Some((cand_lo, hi));
                 }
@@ -68,7 +69,7 @@ impl Reference {
     }
 
     fn free(&mut self, lo: u64, hi: u64) {
-        assert!(self.tree.remove(lo));
+        assert_eq!(self.ranges.remove(&lo), Some(hi));
         self.search_start = self.search_start.max(hi + 1).min(self.limit_pfn);
     }
 }
@@ -112,9 +113,10 @@ fn run(seed: u64, limit_pfn: u64, align: bool, ops: usize, max_pages: u64) -> u6
             "seed {seed} op {op}: search_start"
         );
     }
-    assert_eq!(real.tree().iter_inorder(), reference.tree.iter_inorder());
+    let want: Vec<(u64, u64)> = reference.ranges.into_iter().collect();
+    assert_eq!(real.ranges().iter().collect::<Vec<_>>(), want);
     assert_eq!(real.stats().failures, failures);
-    real.tree().check_invariants().unwrap();
+    real.ranges().check_invariants().unwrap();
     failures
 }
 

@@ -3,13 +3,14 @@
 //! The safety-critical allocator invariants (DESIGN.md §6) as plain
 //! `#[test]`s driven by [`fns_sim::rng::SimRng`], so they run in the
 //! offline suite: live ranges never overlap, frees always succeed for live
-//! ranges, and the red-black tree structure invariants hold after
-//! arbitrary op sequences.
+//! ranges, and the range set stays sorted and disjoint after arbitrary op
+//! sequences.
 
 use std::collections::VecDeque;
 
-use fns_iova::rbtree::RbIntervalTree;
-use fns_iova::{CachingAllocator, IovaAllocator, IovaRange, RbTreeAllocator, RcacheConfig};
+use fns_iova::{
+    CachingAllocator, IovaAllocator, IovaRange, RangeSet, RbTreeAllocator, RcacheConfig,
+};
 use fns_sim::rng::SimRng;
 
 /// A randomly generated allocator workload step.
@@ -85,7 +86,7 @@ fn rbtree_allocator_never_overlaps() {
         let ops = random_ops(&mut rng, 64, 1, 200);
         let mut a = RbTreeAllocator::new();
         run_workload(&mut a, &ops, 7);
-        a.tree().check_invariants().unwrap();
+        a.ranges().check_invariants().unwrap();
     }
 }
 
@@ -96,7 +97,7 @@ fn caching_allocator_never_overlaps() {
         let ops = random_ops(&mut rng, 64, 4, 300);
         let mut a = CachingAllocator::with_defaults(4);
         run_workload(&mut a, &ops, 7);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 }
 
@@ -113,7 +114,7 @@ fn caching_allocator_small_magazines() {
         };
         let mut a = CachingAllocator::new(2, cfg);
         run_workload(&mut a, &ops, 3);
-        a.tree().tree().check_invariants().unwrap();
+        a.tree().ranges().check_invariants().unwrap();
     }
 }
 
@@ -121,7 +122,7 @@ fn caching_allocator_small_magazines() {
 fn rbtree_invariants_under_random_ops() {
     for case in 0..64u64 {
         let mut rng = SimRng::seed(0x4EAF + case);
-        let mut t = RbIntervalTree::new();
+        let mut t = RangeSet::new();
         let mut inserted: Vec<u64> = Vec::new();
         let n = rng.range(1, 200);
         for _ in 0..n {
@@ -137,7 +138,7 @@ fn rbtree_invariants_under_random_ops() {
             t.check_invariants().unwrap();
         }
         // In-order traversal must be sorted and disjoint.
-        let ranges = t.iter_inorder();
+        let ranges: Vec<(u64, u64)> = t.iter().collect();
         for w in ranges.windows(2) {
             assert!(w[0].1 < w[1].0, "overlap or disorder: {w:?}");
         }
@@ -146,19 +147,24 @@ fn rbtree_invariants_under_random_ops() {
 }
 
 #[test]
-fn rbtree_black_height_is_logarithmic() {
-    // Sequential inserts are the classic worst case for naive BSTs; the
-    // RB tree must stay balanced.
+fn range_set_lookups_after_sequential_inserts() {
+    // Sequential inserts are the classic worst case for naive search
+    // trees; every lookup must still find its range after them.
     let mut rng = SimRng::seed(0x5EAF);
     for _ in 0..16 {
         let n = rng.range(1, 800);
-        let mut t = RbIntervalTree::new();
+        let mut t = RangeSet::new();
         for i in 0..n {
             t.insert(i * 2, i * 2).unwrap();
         }
         t.check_invariants().unwrap();
-        // Spot-check lookups still work.
-        assert_eq!(t.get((n - 1) * 2), Some(((n - 1) * 2, (n - 1) * 2)));
+        for i in 0..n {
+            // Highest range below each gap and below each range's start.
+            assert_eq!(t.below(i * 2 + 1).next(), Some((i * 2, i * 2)));
+            let prev = i.checked_sub(1).map(|p| (p * 2, p * 2));
+            assert_eq!(t.below(i * 2).next(), prev);
+        }
+        assert_eq!(t.iter().count() as u64, n);
     }
 }
 
