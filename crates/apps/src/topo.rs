@@ -1,6 +1,6 @@
 //! Multi-device, multi-tenant topology workloads.
 //!
-//! Three scenario generators exercising N devices behind one shared IOMMU,
+//! Four scenario generators exercising N devices behind one shared IOMMU,
 //! each device in its own PASID-style protection domain (see
 //! `fns_core::config::Topology`):
 //!
@@ -14,9 +14,12 @@
 //!   that restart from fresh congestion state on completion, modelling
 //!   tens of thousands of short connections over the run (the builders
 //!   accept arbitrary flow counts; the scenario registry uses CI-sized
-//!   ones).
+//!   ones),
+//! * [`dc_scale_config`] — datacenter-scale fan-in: 20 480 flows over
+//!   8 NICs x 4 queues plus 2 storage devices, 10 domains, run as one
+//!   host like every other shape.
 //!
-//! All three default to 2 NICs x 4 queues + 1 storage device = 3 isolation
+//! The first three default to 2 NICs x 4 queues + 1 storage device = 3 isolation
 //! domains, the smallest shape where cross-domain leaks have somewhere to
 //! leak *to* in both directions (NIC->NIC and NIC->storage).
 
@@ -75,12 +78,10 @@ pub fn churn_config(mode: ProtectionMode, conns: u32, conn_bytes: u64) -> SimCon
 
 /// Datacenter-scale fan-in: 20 480 unbounded flows RSS-spread over
 /// 8 NICs × 4 queues plus 2 storage devices — 10 isolation domains, the
-/// ROADMAP's tens-of-thousands-of-flows regime. Ships with `shards: 1`
-/// so the sharded engine (one shard per NIC) carries it by default;
-/// `--shards N` raises the worker-thread cap without changing a bit of
-/// the result. Its peer-only flows (`IperfRx`) run past the
-/// `TX_FLOW_BASE` segment split (ids 1000–20 479 land in the high
-/// segment); with no DUT-sent flows there is nothing for them to alias.
+/// tens-of-thousands-of-flows regime, every device behind one IOMMU. Its
+/// peer-only flows (`IperfRx`) run past the `TX_FLOW_BASE` segment split
+/// (ids 1000–20 479 land in the high segment); with no DUT-sent flows
+/// there is nothing for them to alias.
 pub fn dc_scale_config(mode: ProtectionMode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode);
     cfg.flows = 20_480;
@@ -92,7 +93,6 @@ pub fn dc_scale_config(mode: ProtectionMode) -> SimConfig {
         storage_devices: 2,
         ..Topology::single_nic()
     };
-    cfg.shards = 1;
     cfg
 }
 
@@ -114,22 +114,11 @@ mod tests {
     }
 
     #[test]
-    fn dc_scale_is_datacenter_sized_and_sharded() {
+    fn dc_scale_is_datacenter_sized() {
         let cfg = dc_scale_config(ProtectionMode::FastAndSafe);
         assert!(cfg.flows >= 20_000);
         assert_eq!(cfg.topology.domains(), 10);
         assert_eq!(cfg.topology.rings(), 32);
-        assert_eq!(cfg.shards, 1, "sharded engine on by default");
-        // One shard per NIC, every flow and device accounted for.
-        let specs = fns_core::plan_shards(&cfg);
-        assert_eq!(specs.len(), 8);
-        assert_eq!(specs.iter().map(|s| s.cfg.flows).sum::<u32>(), cfg.flows);
-        assert_eq!(
-            specs
-                .iter()
-                .map(|s| s.cfg.topology.storage_devices)
-                .sum::<u16>(),
-            2
-        );
+        assert_eq!(cfg.validate(), Ok(()));
     }
 }

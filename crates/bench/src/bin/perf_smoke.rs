@@ -23,18 +23,12 @@
 //! one could contradict), because a 1-CPU container cannot exhibit
 //! parallel speedup no matter how scalable the runner is (see DESIGN.md
 //! §11).
-//!
-//! Alongside the inter-run `jobs_curve`, a `shards_curve` times the
-//! *intra-run* sharded engine on a dc-scale-lite shape (8 NICs ×
-//! 4 queues plus 2 storage devices) at shard-worker caps of 1/2/4. The
-//! curve doubles as a determinism gate: metrics must be bit-identical at
-//! every cap.
 
 use std::time::Instant;
 
-use fns_apps::{dc_scale_config, iperf_config, redis_config};
+use fns_apps::{iperf_config, redis_config};
 use fns_bench::SweepRunner;
-use fns_core::{Engine, HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
+use fns_core::{HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
 use fns_trace::{JsonWriter, ObserveConfig, RegMetric, RegistryReport, Span, SpanSet};
 
 /// Shortened windows: the basket must finish in CI seconds, not minutes.
@@ -43,9 +37,6 @@ const SMOKE_MEASURE_NS: u64 = 10_000_000;
 
 /// Worker counts for the scaling curve.
 const JOBS_CURVE: [usize; 4] = [1, 2, 4, 8];
-
-/// Shard-worker caps for the intra-run scaling curve.
-const SHARDS_CURVE: [usize; 3] = [1, 2, 4];
 
 fn smoke(mut cfg: SimConfig) -> SimConfig {
     cfg.warmup = SMOKE_WARMUP_NS;
@@ -191,15 +182,6 @@ fn committed_host_cpus(path: &str) -> Option<u64> {
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// The dc-scale topology (8 NICs × 4 queues + 2 storage = 10 domains) at
-/// a CI-sized flow count and smoke windows: enough work per shard for the
-/// curve to mean something, small enough to finish in bench seconds.
-fn dc_scale_lite() -> SimConfig {
-    let mut cfg = smoke(dc_scale_config(ProtectionMode::FastAndSafe));
-    cfg.flows = 1024;
-    cfg
 }
 
 /// Warm-arena steady-state check: after one priming run, a recycled event
@@ -380,48 +362,6 @@ fn main() {
         basket_speedup,
     );
 
-    // Intra-run sharding curve: the dc-scale-lite shape through the
-    // sharded engine at shard-worker caps of 1/2/4. Bit-identical metrics
-    // at every cap are asserted unconditionally (determinism needs no
-    // cores); the wall-clock speedup is tracking data, gated like the
-    // basket speedup only on hosts with the CPUs to show it.
-    let lite = dc_scale_lite();
-    let mut shards_curve = Vec::new();
-    let mut shards_fp = None;
-    for &shards in &SHARDS_CURVE {
-        let mut cfg = lite;
-        cfg.shards = shards;
-        let (results, wall_ns) = best_of(repeats, || vec![Engine::new(cfg).run()]);
-        let fp = fingerprint(&results[0]);
-        match shards_fp {
-            None => shards_fp = Some(fp),
-            Some(first) => assert_eq!(
-                first, fp,
-                "shards={shards}: sharded metrics diverged from the shards=1 run"
-            ),
-        }
-        let events: u64 = results.iter().map(|m| m.events_processed).sum();
-        println!(
-            "shards curve: {shards} shard workers  {:7.2} ms  {:6.2} Mev/s",
-            wall_ns as f64 / 1e6,
-            events as f64 / (wall_ns as f64 / 1e9) / 1e6,
-        );
-        shards_curve.push(CurvePoint {
-            jobs: shards,
-            wall_ns,
-            events,
-        });
-    }
-    let shards_speedup =
-        shards_curve[0].wall_ns as f64 / shards_curve.last().unwrap().wall_ns.max(1) as f64;
-    println!(
-        "dc-scale-lite: {:.2} ms at 1 shard worker, {:.2} ms at {}, speedup {:.2}x",
-        shards_curve[0].wall_ns as f64 / 1e6,
-        shards_curve.last().unwrap().wall_ns as f64 / 1e6,
-        shards_curve.last().unwrap().jobs,
-        shards_speedup,
-    );
-
     // The one hard perf gate: the 8-job basket must beat sequential by
     // 1.5x. Guarded because speedup physically requires cores — on a
     // starved runner the gate would only measure the container, not the
@@ -501,21 +441,6 @@ fn main() {
         w.field_f64(
             "speedup_vs_seq",
             curve[0].wall_ns as f64 / p.wall_ns.max(1) as f64,
-        );
-        w.end_object();
-    }
-    w.end_array();
-    w.field_f64("shards_speedup", shards_speedup);
-    w.key("shards_curve");
-    w.begin_array();
-    for p in &shards_curve {
-        w.begin_object();
-        w.field_u64("shards", p.jobs as u64);
-        w.field_f64("wall_ms", p.wall_ns as f64 / 1e6);
-        w.field_f64("events_per_sec", p.events as f64 / (p.wall_ns as f64 / 1e9));
-        w.field_f64(
-            "speedup_vs_1shard",
-            shards_curve[0].wall_ns as f64 / p.wall_ns.max(1) as f64,
         );
         w.end_object();
     }

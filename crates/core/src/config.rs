@@ -290,20 +290,11 @@ pub struct SimConfig {
     /// recorder (see [`fns_trace::recorder`]). Off by default; disabled
     /// it changes no run by a single bit, armed it consumes no RNG.
     pub observe: ObserveConfig,
-    /// Intra-run parallelism: worker threads for the sharded sim-time
-    /// engine (see [`crate::shard`]). `0` — the default — runs the legacy
-    /// monolithic [`crate::HostSim`] event loop, bit-identical to every
-    /// prior release. Any value `>= 1` engages the sharded engine: the
-    /// shard *partition* is a pure function of the topology/core count,
-    /// so `shards: 1`, `2`, and `4` all produce byte-identical
-    /// `RunMetrics` — the knob only caps how many worker threads advance
-    /// shards concurrently (`tests/golden_determinism.rs` pins it).
+    /// Retired: the sharded engine this selected is gone, and every run
+    /// simulates one host with one IOMMU. Kept only so existing callers
+    /// that write `0` still compile; [`SimConfig::validate`] refuses any
+    /// other value.
     pub shards: usize,
-    /// Bounded sim-time epoch between shard barriers (sharded engine
-    /// only). Shards advance independently inside an epoch; shared-IOMMU
-    /// effects cross at the barrier in canonical (epoch, domain, seq)
-    /// order. Ignored when `shards == 0`.
-    pub shard_epoch_ns: Nanos,
 }
 
 impl SimConfig {
@@ -347,7 +338,6 @@ impl SimConfig {
             watchdog: WatchdogConfig::off(),
             observe: ObserveConfig::off(),
             shards: 0,
-            shard_epoch_ns: 100 * MICROS,
         }
     }
 
@@ -401,7 +391,8 @@ impl SimConfig {
     /// count would run and report a different experiment than the one
     /// asked for. A peer flow id at or above [`TX_FLOW_BASE`] in a workload
     /// whose DUT also sends is the same `FlowId` as a DUT flow: the two
-    /// would share one core assignment, the later insert winning.
+    /// would share one core assignment, the later insert winning. A
+    /// nonzero `shards` asks for the removed sharded engine.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let counts = [
             (self.cores as u64, "cores must be at least 1"),
@@ -418,6 +409,11 @@ impl SimConfig {
         ];
         if let Some(&(_, reason)) = counts.iter().find(|&&(n, _)| n == 0) {
             return Err(ConfigError(reason));
+        }
+        if self.shards != 0 {
+            return Err(ConfigError(
+                "shards: the sharded engine was removed; every run is one host (shards must be 0)",
+            ));
         }
         let (peer, dut) = self.flow_ids();
         if !dut.is_empty() && peer.end > TX_FLOW_BASE {
@@ -495,6 +491,13 @@ mod tests {
             zero(&mut bad);
             assert!(bad.validate().is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn validate_refuses_a_nonzero_shard_count() {
+        let mut c = SimConfig::paper_default(ProtectionMode::FastAndSafe);
+        c.shards = 1;
+        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod metrics;
 pub mod mode;
 pub mod model;
 pub mod resources;
-pub mod shard;
 pub mod sim;
 pub mod tap;
 pub mod watchdog;
@@ -38,7 +37,6 @@ pub use driver::{DmaDriver, Sabotage};
 pub use errors::DmaError;
 pub use metrics::RunMetrics;
 pub use mode::ProtectionMode;
-pub use shard::{plan_shards, Engine, ShardSpec, ShardedSim};
 pub use sim::{HostSim, RunArena};
 pub use tap::{DmaEvent, Tap};
 pub use watchdog::{WatchdogConfig, WatchdogReport};

@@ -400,196 +400,6 @@ impl RunMetrics {
         w.end_object();
         w.finish()
     }
-
-    /// Combines per-shard results from the sharded engine into one run's
-    /// metrics (see `crate::shard`). Every rule is a pure function of the
-    /// inputs taken in shard order, so the merged value is independent of
-    /// how many worker threads produced the parts:
-    ///
-    /// - counters sum; traces/flight rings k-way merge chronologically
-    ///   with shard index as the tie-break; per-core vectors concatenate
-    ///   in shard order (shard 0's cores first).
-    /// - `domains` scatters each shard's local domain slice through its
-    ///   `domain_map` (local index → global domain id) so tenant
-    ///   attribution survives the partition.
-    /// - `fault_log` is *recomputed* from the merged trace rather than
-    ///   concatenated, keeping the log ↔ trace filtering invariant.
-    /// - gauge samples merge element-wise across shards at the same
-    ///   cadence index: occupancies/depths sum (shards share one modelled
-    ///   IOMMU), hit rate averages, and the largest-free-run takes the
-    ///   max (per-shard allocators are disjoint address slices).
-    pub fn merge_shards(
-        parts: Vec<RunMetrics>,
-        domain_maps: &[Vec<usize>],
-        total_domains: usize,
-    ) -> RunMetrics {
-        assert!(!parts.is_empty(), "merge_shards needs at least one shard");
-        assert_eq!(parts.len(), domain_maps.len());
-
-        let mut domains = vec![DomainStats::default(); total_domains];
-        for (part, map) in parts.iter().zip(domain_maps) {
-            for (local, stat) in part.domains.iter().enumerate() {
-                domains[map[local]].absorb(stat);
-            }
-        }
-
-        let mut iommu = IommuStats::default();
-        let mut latency = Histogram::new();
-        let mut spans = SpanSet::default();
-        let mut faults = fns_faults::FaultStats::default();
-        let mut audit = fns_oracle::AuditReport::default();
-        let mut watchdog = crate::watchdog::WatchdogReport::default();
-        let mut cpu_utilization = Vec::new();
-        let mut locality_distances = Vec::new();
-        for p in &parts {
-            iommu.absorb(&p.iommu);
-            latency.merge(&p.latency);
-            spans.merge(&p.spans);
-            faults = faults.merge(&p.faults);
-            audit.absorb(&p.audit);
-            watchdog.enabled |= p.watchdog.enabled;
-            watchdog.checks += p.watchdog.checks;
-            watchdog.relief_drains += p.watchdog.relief_drains;
-            watchdog.storms += p.watchdog.storms;
-            watchdog.max_backlog_seen = watchdog.max_backlog_seen.max(p.watchdog.max_backlog_seen);
-            watchdog.degraded |= p.watchdog.degraded;
-            watchdog.aborted |= p.watchdog.aborted;
-            cpu_utilization.extend_from_slice(&p.cpu_utilization);
-            locality_distances.extend_from_slice(&p.locality_distances);
-        }
-
-        let samples = Self::merge_samples(&parts);
-        let registry = Self::merge_registry(&parts);
-
-        let mut provenance = ProvenanceDump::default();
-        for p in &parts {
-            provenance.enabled |= p.provenance.enabled;
-            provenance.pages.extend(p.provenance.pages.iter().cloned());
-            provenance.dropped_pages += p.provenance.dropped_pages;
-            provenance.window_dropped += p.provenance.window_dropped;
-        }
-        provenance.pages.sort_by_key(|t| t.pfn);
-
-        let mut txns = TxnDump::default();
-        for p in &parts {
-            txns.enabled |= p.txns.enabled;
-            txns.records.extend(p.txns.records.iter().cloned());
-            txns.open += p.txns.open;
-            txns.dropped += p.txns.dropped;
-        }
-
-        let trace = Trace::merge_chrono(parts.iter().map(|p| p.trace.clone()).collect());
-        let flight = Trace::merge_chrono(parts.iter().map(|p| p.flight.clone()).collect());
-        let fault_log = fns_faults::fault_log_from(&trace);
-
-        RunMetrics {
-            window_ns: parts[0].window_ns,
-            rx_goodput_bytes: parts.iter().map(|p| p.rx_goodput_bytes).sum(),
-            tx_goodput_bytes: parts.iter().map(|p| p.tx_goodput_bytes).sum(),
-            rx_packets: parts.iter().map(|p| p.rx_packets).sum(),
-            nic_drops: parts.iter().map(|p| p.nic_drops).sum(),
-            tx_packets: parts.iter().map(|p| p.tx_packets).sum(),
-            iommu,
-            domains,
-            storage_ios: parts.iter().map(|p| p.storage_ios).sum(),
-            storage_bytes: parts.iter().map(|p| p.storage_bytes).sum(),
-            churned_conns: parts.iter().map(|p| p.churned_conns).sum(),
-            cpu_utilization,
-            latency,
-            stale_iotlb_hits: parts.iter().map(|p| p.stale_iotlb_hits).sum(),
-            stale_ptcache_walks: parts.iter().map(|p| p.stale_ptcache_walks).sum(),
-            locality_distances,
-            map_cpu_ns: parts.iter().map(|p| p.map_cpu_ns).sum(),
-            invalidation_cpu_ns: parts.iter().map(|p| p.invalidation_cpu_ns).sum(),
-            spans,
-            events_processed: parts.iter().map(|p| p.events_processed).sum(),
-            faults,
-            fault_log,
-            samples,
-            trace,
-            audit,
-            watchdog,
-            provenance,
-            txns,
-            registry,
-            flight,
-        }
-    }
-
-    fn merge_samples(parts: &[RunMetrics]) -> SampleSet {
-        let interval_ns = parts
-            .iter()
-            .map(|p| p.samples.interval_ns)
-            .find(|&i| i > 0)
-            .unwrap_or(0);
-        let longest = parts.iter().map(|p| p.samples.len()).max().unwrap_or(0);
-        let mut merged = Vec::with_capacity(longest);
-        for i in 0..longest {
-            let mut out = fns_trace::Sample::default();
-            let mut present = 0u32;
-            let mut hit_rate_sum = 0u64;
-            for p in parts {
-                let Some(s) = p.samples.samples.get(i) else {
-                    continue;
-                };
-                if present == 0 {
-                    out.at = s.at;
-                }
-                present += 1;
-                hit_rate_sum += s.iotlb_hit_rate_bp as u64;
-                out.iotlb_occupancy = out.iotlb_occupancy.saturating_add(s.iotlb_occupancy);
-                out.ptcache_l1 = out.ptcache_l1.saturating_add(s.ptcache_l1);
-                out.ptcache_l2 = out.ptcache_l2.saturating_add(s.ptcache_l2);
-                out.ptcache_l3 = out.ptcache_l3.saturating_add(s.ptcache_l3);
-                out.inv_queue_depth = out.inv_queue_depth.saturating_add(s.inv_queue_depth);
-                out.ring_occupancy = out.ring_occupancy.saturating_add(s.ring_occupancy);
-                out.nic_buffer_bytes += s.nic_buffer_bytes;
-                out.switch_queue_bytes += s.switch_queue_bytes;
-                out.iova_live_bytes += s.iova_live_bytes;
-                out.iova_free_spans += s.iova_free_spans;
-                out.iova_largest_free_run = out.iova_largest_free_run.max(s.iova_largest_free_run);
-            }
-            out.iotlb_hit_rate_bp = (hit_rate_sum / present.max(1) as u64) as u32;
-            merged.push(out);
-        }
-        SampleSet {
-            interval_ns,
-            samples: merged,
-        }
-    }
-
-    fn merge_registry(parts: &[RunMetrics]) -> RegistryReport {
-        // Stats merge exactly (bucket sums), in the canonical key order the
-        // monolithic registry reports in.
-        let mut out = RegistryReport::default();
-        for p in parts {
-            out.merge_stats(&p.registry);
-        }
-        let longest = parts.iter().map(|p| p.registry.series.len()).max();
-        for i in 0..longest.unwrap_or(0) {
-            let mut merged: Option<fns_trace::RegSample> = None;
-            for p in parts {
-                let Some(s) = p.registry.series.get(i) else {
-                    continue;
-                };
-                let m = merged.get_or_insert(fns_trace::RegSample {
-                    at: s.at,
-                    ..Default::default()
-                });
-                // Cross-key percentiles cannot be re-derived from the
-                // streamed points; the max is the conservative (worst
-                // tenant) composition and is deterministic.
-                m.desc_p50 = m.desc_p50.max(s.desc_p50);
-                m.desc_p99 = m.desc_p99.max(s.desc_p99);
-                m.desc_p999 = m.desc_p999.max(s.desc_p999);
-                m.inv_wait_p99 = m.inv_wait_p99.max(s.inv_wait_p99);
-            }
-            if let Some(m) = merged {
-                out.series.push(m);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -69,13 +69,22 @@ const DRIVER_FAULT_SALT: u64 = 0xFA17;
 /// RNG-fork salt for the wire-side (switch-queue) fault plane.
 const NET_FAULT_SALT: u64 = 0xFA18;
 
+/// The tail of the `SimConfig` debug rendering as snapshot format 4 hashed
+/// it, when the config still had a `shard_epoch_ns` field (always at its
+/// default of 100 µs in the monolithic engine) after `shards`.
+const RETIRED_CONFIG_TAIL: &str = ", shard_epoch_ns: 100000 }";
+
 /// Fingerprint of a (normalized) configuration, stored in checkpoints so
 /// [`HostSim::restore`] can refuse to resume under a different experiment.
 /// `SimConfig` is plain data with a total `Debug` rendering, so hashing the
 /// debug string covers every field — including ones added later — without a
-/// hand-maintained field list.
-pub(crate) fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
+/// hand-maintained field list. The retired `shard_epoch_ns` field is put
+/// back in ([`RETIRED_CONFIG_TAIL`]) so format-4 checkpoints keep their
+/// fingerprints.
+fn config_fingerprint(cfg: &SimConfig) -> u64 {
+    let text = format!("{cfg:?}");
+    let body = text.strip_suffix(" }").expect("struct debug rendering");
+    fnv1a(format!("{body}{RETIRED_CONFIG_TAIL}").as_bytes())
 }
 
 /// One scheduled event. The five that carry a packet or a page list hold a
@@ -838,14 +847,9 @@ pub struct HostSim {
     mem_epoch_start: Nanos,
     mem_epoch_bytes: u64,
     mem_util: f64,
-    /// Cumulative DMA bytes this sim has pushed through `note_mem_traffic`
-    /// — the monotone counter behind [`HostSim::epoch_digest`], which
-    /// exports per-epoch deltas to sibling shards of the sharded engine.
+    /// Cumulative DMA bytes this sim has pushed through `note_mem_traffic`.
+    /// Nothing reads it during a run; checkpoints carry it.
     dma_bytes_total: u64,
-    /// `dma_bytes_total` as of the last drained epoch digest.
-    epoch_dma_mark: u64,
-    /// `invalidation_queue_entries` as of the last drained epoch digest.
-    epoch_inv_mark: u64,
     snapshot: Snapshot,
     warmed_up: bool,
     /// Fault plane for the wire (switch-queue) sites. The driver-side plane
@@ -983,8 +987,6 @@ impl HostSim {
             mem_epoch_bytes: 0,
             mem_util: 0.0,
             dma_bytes_total: 0,
-            epoch_dma_mark: 0,
-            epoch_inv_mark: 0,
             snapshot: Snapshot::default(),
             warmed_up: false,
             net_faults: FaultPlane::disabled(),
@@ -1355,7 +1357,7 @@ impl HostSim {
                 // Rx flows on the first half of the cores, Tx flows on the
                 // second half (the paper runs them on distinct cores). In
                 // multi-device topologies RSS decides the homing instead.
-                let rx_cores = (cores - tx_flows as usize).max(1);
+                let rx_cores = cores.saturating_sub(tx_flows as usize).max(1);
                 for i in 0..self.cfg.flows {
                     let flow = FlowId(i);
                     let core = if single {
@@ -1665,8 +1667,9 @@ impl HostSim {
         w.u64(self.mem_epoch_bytes);
         w.f64(self.mem_util);
         w.u64(self.dma_bytes_total);
-        w.u64(self.epoch_dma_mark);
-        w.u64(self.epoch_inv_mark);
+        // Format 4 has two words here that no field uses; always zero.
+        w.u64(0);
+        w.u64(0);
         self.snapshot.snap(&mut w);
         w.bool(self.warmed_up);
         self.net_faults.snap(&mut w);
@@ -1702,17 +1705,9 @@ impl HostSim {
     /// [`SimConfig::validate`] refuses with [`SnapError::InvalidConfig`].
     /// Corrupt or truncated bytes fail the checksum/length checks inside
     /// `fns-snap`.
-    pub fn restore(cfg: SimConfig, bytes: &[u8]) -> Result<Self, SnapError> {
+    pub fn restore(mut cfg: SimConfig, bytes: &[u8]) -> Result<Self, SnapError> {
         cfg.validate()
             .map_err(|e| SnapError::InvalidConfig { reason: e.0 })?;
-        Self::restore_planned(cfg, bytes)
-    }
-
-    /// [`HostSim::restore`] without the validity check, for the shard
-    /// configs a [`crate::shard::ShardedSim`] plans from a validated one:
-    /// a shard whose core group or NIC got no flows runs with `flows == 0`,
-    /// which [`HostSim::new_in`] accepts and a checkpoint must too.
-    pub(crate) fn restore_planned(mut cfg: SimConfig, bytes: &[u8]) -> Result<Self, SnapError> {
         // Apply the same normalization `new_in` does before fingerprinting.
         if cfg.mode.huge_rx() {
             cfg.pages_per_descriptor = 512;
@@ -1802,8 +1797,15 @@ impl HostSim {
         let mem_epoch_bytes = r.u64()?;
         let mem_util = r.f64()?;
         let dma_bytes_total = r.u64()?;
-        let epoch_dma_mark = r.u64()?;
-        let epoch_inv_mark = r.u64()?;
+        for _ in 0..2 {
+            let tag = r.u64()?;
+            if tag != 0 {
+                return Err(SnapError::BadTag {
+                    what: "unused format-4 word",
+                    tag,
+                });
+            }
+        }
         let snapshot = Snapshot::unsnap(&mut r)?;
         let warmed_up = r.bool()?;
         let mut net_faults = FaultPlane::unsnap(cfg.faults, &mut r)?;
@@ -1855,8 +1857,6 @@ impl HostSim {
             mem_epoch_bytes,
             mem_util,
             dma_bytes_total,
-            epoch_dma_mark,
-            epoch_inv_mark,
             snapshot,
             warmed_up,
             net_faults,
@@ -1885,32 +1885,6 @@ impl HostSim {
 
     fn walk_read_ns(&self) -> Nanos {
         self.cfg.memory.walk_read_ns(self.mem_util)
-    }
-
-    /// Drains the shard-coupling digest: (DMA bytes, invalidation-queue
-    /// entries) this sim generated since the previous drain. The sharded
-    /// engine calls this **only at global epoch barriers** — the drain
-    /// advances the marks, so calling it at an arbitrary intermediate time
-    /// would silently swallow traffic that siblings were owed.
-    pub fn epoch_digest(&mut self) -> (u64, u64) {
-        let inv_total = self.drv.iommu.stats().invalidation_queue_entries;
-        let dma = self.dma_bytes_total - self.epoch_dma_mark;
-        let inv = inv_total - self.epoch_inv_mark;
-        self.epoch_dma_mark = self.dma_bytes_total;
-        self.epoch_inv_mark = inv_total;
-        (dma, inv)
-    }
-
-    /// Folds sibling shards' previous-epoch digest into this shard's
-    /// memory-utilization accounting: their DMA traffic plus one 64-byte
-    /// invalidation-queue descriptor per entry contend for the same
-    /// physical memory fabric, inflating this shard's walk latency via
-    /// `mem_util`. Deliberately latency-only — no translation state is
-    /// touched, so the safety oracle's view is unaffected — and it does
-    /// **not** feed `dma_bytes_total` (ambient bytes must not echo back
-    /// to siblings as if this shard had generated them).
-    pub fn absorb_ambient(&mut self, dma_bytes: u64, inv_entries: u64) {
-        self.mem_epoch_bytes += dma_bytes + 64 * inv_entries;
     }
 
     // ----- event dispatch --------------------------------------------------
@@ -3581,6 +3555,12 @@ mod tests {
         invalid.cores = 0;
         assert!(matches!(
             HostSim::restore(invalid, &bytes),
+            Err(SnapError::InvalidConfig { .. })
+        ));
+        let mut sharded = cfg;
+        sharded.shards = 1;
+        assert!(matches!(
+            HostSim::restore(sharded, &bytes),
             Err(SnapError::InvalidConfig { .. })
         ));
         // Corruption fails the checksum rather than restoring garbage.

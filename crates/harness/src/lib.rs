@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use fns_core::{Engine, HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
+use fns_core::{HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
 
 pub mod mbt;
 pub mod scenarios;
@@ -157,17 +157,10 @@ impl SweepRunner {
 
     /// Runs every configuration to completion; `results[i]` corresponds to
     /// `configs[i]`. Each worker reuses a [`RunArena`] across its runs, so
-    /// back-to-back sweep points recycle their big allocations. Configs
-    /// with `shards >= 1` run on the sharded engine (its workers own
-    /// their shards' arenas internally); everything else stays on the
-    /// bit-identical monolithic path.
+    /// back-to-back sweep points recycle their big allocations.
     pub fn run_sims(&self, configs: Vec<SimConfig>) -> Vec<RunMetrics> {
         self.map_with(configs, RunArena::new, |arena, cfg| {
-            if cfg.shards >= 1 {
-                Engine::new(cfg).run()
-            } else {
-                HostSim::run_in(cfg, arena)
-            }
+            HostSim::run_in(cfg, arena)
         })
     }
 

@@ -72,7 +72,7 @@ pub const SCENARIOS: &[Scenario] = &[
     },
     Scenario {
         name: "dc-scale",
-        description: "datacenter scale: 20480 flows over 8 NICs x 4 queues + 2 storage, sharded",
+        description: "datacenter scale: 20480 flows over 8 NICs x 4 queues + 2 storage",
         build: fns_apps::dc_scale_config,
     },
 ];

@@ -8,8 +8,7 @@
 //! of wall clock at full scale, the runner checkpoints the complete
 //! engine state every `snapshot_every` sim-nanoseconds
 //! ([`run_soak`]); a killed run resumes from the newest checkpoint with
-//! bit-identical final metrics (`Engine::restore` pins that, for the
-//! monolithic and sharded engines alike), and a
+//! bit-identical final metrics (`HostSim::restore` pins that), and a
 //! degradation-watchdog abort surfaces the state at the abort boundary as
 //! a replayable artifact instead of a dead process.
 //!
@@ -26,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use fns_core::{Engine, ProtectionMode, RunMetrics, SimConfig, WatchdogConfig};
+use fns_core::{HostSim, ProtectionMode, RunMetrics, SimConfig, WatchdogConfig};
 use fns_sim::time::{Nanos, MICROS, MILLIS};
 
 /// A named workload shaped to age the host over a long horizon.
@@ -153,9 +152,8 @@ impl Default for SoakOptions {
 pub struct Checkpoint {
     /// Sim time of the boundary this checkpoint was taken at.
     pub at: Nanos,
-    /// `Engine::snapshot` bytes — restore with `Engine::restore` under the
-    /// same engine family (`shards >= 1` checkpoints restore at any
-    /// `shards >= 1`; monolithic checkpoints restore monolithic).
+    /// `HostSim::snapshot` bytes — restore with `HostSim::restore` under
+    /// the same config.
     pub bytes: Vec<u8>,
 }
 
@@ -179,13 +177,12 @@ pub struct SoakOutcome {
 /// checkpointing is requested for a config that cannot round-trip
 /// through a snapshot (see `SimConfig::snapshot_ineligibility`).
 pub fn run_soak(cfg: SimConfig, opts: &SoakOptions) -> Result<SoakOutcome, &'static str> {
-    run_soak_sim(Engine::new(cfg), opts)
+    run_soak_sim(HostSim::new(cfg), opts)
 }
 
 /// [`run_soak`] over an already-built (possibly restored, possibly
-/// sabotaged-for-testing) simulation. Accepts either engine — a bare
-/// `HostSim` converts via `Engine::from`.
-pub fn run_soak_sim(mut sim: Engine, opts: &SoakOptions) -> Result<SoakOutcome, &'static str> {
+/// sabotaged-for-testing) simulation.
+pub fn run_soak_sim(mut sim: HostSim, opts: &SoakOptions) -> Result<SoakOutcome, &'static str> {
     if opts.snapshot_every > 0 {
         if let Some(reason) = sim.config().snapshot_ineligibility() {
             return Err(reason);
@@ -263,7 +260,7 @@ pub fn bisect_violation(
         if to <= ck.at {
             continue;
         }
-        let mut sim = Engine::restore(cfg, &ck.bytes).ok()?;
+        let mut sim = HostSim::restore(cfg, &ck.bytes).ok()?;
         let before = sim.audit_violations();
         sim.step_until(to);
         if sim.audit_violations() > before {
@@ -289,7 +286,7 @@ pub fn shrink_violation_window(
     resolution_ns: Nanos,
 ) -> ViolationWindow {
     let reproduces = |to: Nanos| -> bool {
-        let Ok(mut sim) = Engine::restore(cfg, &checkpoint.bytes) else {
+        let Ok(mut sim) = HostSim::restore(cfg, &checkpoint.bytes) else {
             return false;
         };
         let before = sim.audit_violations();
@@ -311,7 +308,7 @@ pub fn shrink_violation_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fns_core::{HostSim, Sabotage};
+    use fns_core::Sabotage;
 
     /// A soak-shaped config small enough for a unit test.
     fn tiny_soak(mode: ProtectionMode) -> SimConfig {
@@ -374,38 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_soak_checkpoints_and_resumes_identically() {
-        // The same soak plane carries `--shards` configs: checkpoints are
-        // sharded-engine snapshots, and every retained one resumes to the
-        // same final metrics as the uninterrupted sharded run.
-        let mut cfg = tiny_soak(ProtectionMode::FastAndSafe);
-        cfg.topology = fns_core::Topology {
-            nics: 2,
-            queues_per_nic: 1,
-            storage_devices: 0,
-            ..fns_core::Topology::single_nic()
-        };
-        cfg.shards = 2;
-        let golden = Engine::new(cfg).run();
-        let outcome = run_soak(
-            cfg,
-            &SoakOptions {
-                snapshot_every: 400_000,
-                keep: 2,
-            },
-        )
-        .expect("eligible config");
-        assert_eq!(outcome.aborted_at, None);
-        assert_eq!(golden, outcome.metrics, "checkpointing perturbed the run");
-        for ck in &outcome.checkpoints {
-            let resumed = Engine::restore(cfg, &ck.bytes)
-                .expect("own checkpoint restores")
-                .run();
-            assert_eq!(golden, resumed, "resume from t={} diverged", ck.at);
-        }
-    }
-
-    #[test]
     fn checkpointing_refuses_fatal_audit_with_the_named_reason() {
         let mut cfg = tiny_soak(ProtectionMode::FastAndSafe);
         cfg.audit.enabled = true;
@@ -457,7 +422,7 @@ mod tests {
         // 500th submission lands ~1.8 ms in for this config).
         sim.set_sabotage(Sabotage::SkipRangeInvalidation { nth: 500 });
         let outcome = run_soak_sim(
-            sim.into(),
+            sim,
             &SoakOptions {
                 snapshot_every: 250_000,
                 keep: 16,

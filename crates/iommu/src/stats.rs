@@ -70,14 +70,6 @@ impl DomainStats {
         }
     }
 
-    /// Accumulates another counter set into this one (shard merge).
-    pub fn absorb(&mut self, other: &DomainStats) {
-        self.translations += other.translations;
-        self.iotlb_hits += other.iotlb_hits;
-        self.stale_iotlb_hits += other.stale_iotlb_hits;
-        self.faults += other.faults;
-    }
-
     /// Serializes the counters in declaration order for checkpointing.
     pub fn snap(&self, w: &mut fns_snap::SnapWriter) {
         w.u64(self.translations);
@@ -125,23 +117,6 @@ impl IommuStats {
             invalidation_queue_entries: self.invalidation_queue_entries
                 - earlier.invalidation_queue_entries,
         }
-    }
-
-    /// Accumulates another counter set into this one (shard merge).
-    pub fn absorb(&mut self, other: &IommuStats) {
-        self.translations += other.translations;
-        self.iotlb_hits += other.iotlb_hits;
-        self.iotlb_misses += other.iotlb_misses;
-        self.ptcache_l3_misses += other.ptcache_l3_misses;
-        self.ptcache_l2_misses += other.ptcache_l2_misses;
-        self.ptcache_l1_misses += other.ptcache_l1_misses;
-        self.memory_reads += other.memory_reads;
-        self.faults += other.faults;
-        self.stale_iotlb_hits += other.stale_iotlb_hits;
-        self.stale_ptcache_walks += other.stale_ptcache_walks;
-        self.iotlb_invalidations += other.iotlb_invalidations;
-        self.ptcache_invalidations += other.ptcache_invalidations;
-        self.invalidation_queue_entries += other.invalidation_queue_entries;
     }
 
     /// Serializes the counters in declaration order for checkpointing.

@@ -1,8 +1,8 @@
 //! Statistical balance of the RSS indirection at datacenter scale.
 //!
-//! The sharded engine partitions the dc-scale scenario by NIC, counting
-//! flows through `rss_queue` — so a skewed spread would both overload one
-//! simulated NIC and unbalance the shard workers. The SplitMix64
+//! The NIC plane homes every flow of a multi-queue topology through
+//! `rss_queue`, so a skewed spread would overload one simulated NIC and
+//! queue while its neighbours idle. The SplitMix64
 //! finalizer has no distribution guarantee for the dense consecutive flow
 //! ids the generators hand out; these tests pin that at the dc-scale
 //! shape (20 480 flows over 8 NICs × 4 queues = 32 rings) the spread is
@@ -43,8 +43,8 @@ fn per_queue_spread_is_balanced_at_dc_scale() {
 
 #[test]
 fn per_nic_aggregation_is_balanced_at_dc_scale() {
-    // The shard partition assigns flow f to NIC rss_queue(f) / queues_per_nic;
-    // aggregate the ring histogram the same way.
+    // Flow f lands on ring rss_queue(f), which belongs to NIC
+    // ring / queues_per_nic; aggregate the ring histogram the same way.
     let counts = ring_histogram();
     let mut per_nic = [0u64; NICS];
     for (q, &c) in counts.iter().enumerate() {

@@ -286,27 +286,6 @@ impl AuditReport {
         pfns
     }
 
-    /// Accumulates another shard's report into this one. Counters and
-    /// end-of-run gauges sum, `by_invariant` adds element-wise, and the
-    /// violation samples concatenate in shard order (the caller iterates
-    /// shards canonically, so the combined sample order is deterministic).
-    pub fn absorb(&mut self, other: &AuditReport) {
-        self.enabled |= other.enabled;
-        self.checks += other.checks;
-        self.ops += other.ops;
-        self.violations += other.violations;
-        for (mine, theirs) in self.by_invariant.iter_mut().zip(other.by_invariant) {
-            *mine += theirs;
-        }
-        self.epochs_queued += other.epochs_queued;
-        self.epochs_applied += other.epochs_applied;
-        self.pending_invalidation += other.pending_invalidation;
-        self.pending_reclaim += other.pending_reclaim;
-        self.live_iova_ranges += other.live_iova_ranges;
-        self.shadow_iotlb += other.shadow_iotlb;
-        self.samples.extend(other.samples.iter().cloned());
-    }
-
     /// One-line summary for CLI output and failure artifacts.
     pub fn summary(&self) -> String {
         if !self.enabled {

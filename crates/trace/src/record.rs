@@ -354,37 +354,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Stable k-way chronological merge of per-shard traces. Within one
-    /// timestamp, events from an earlier part precede events from a later
-    /// part (and each part's own internal order is preserved), so the
-    /// result is a pure function of the inputs regardless of how many
-    /// worker threads produced them. Drop counts sum.
-    pub fn merge_chrono(parts: Vec<Trace>) -> Trace {
-        let dropped = parts.iter().map(|p| p.dropped).sum();
-        let total = parts.iter().map(|p| p.events.len()).sum();
-        let mut events = Vec::with_capacity(total);
-        let mut cursors: Vec<std::slice::Iter<'_, TraceEvent>> =
-            parts.iter().map(|p| p.events.iter()).collect();
-        let mut heads: Vec<Option<&TraceEvent>> = cursors.iter_mut().map(|c| c.next()).collect();
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some(ev) = head {
-                    // Strict `<` keeps the tie-break on part index: the
-                    // earliest part wins equal timestamps.
-                    match best {
-                        Some(b) if heads[b].unwrap().at <= ev.at => {}
-                        _ => best = Some(i),
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            events.push(*heads[i].take().unwrap());
-            heads[i] = cursors[i].next();
-        }
-        Trace { events, dropped }
-    }
 }
 
 /// The mutable ring behind a recording [`TraceHandle`].

@@ -1,5 +1,5 @@
 //! Registry reports carry their histogram buckets, so percentiles merged
-//! across keys, shards or runs are exact.
+//! across keys or runs are exact.
 
 use fns_trace::metrics::RegKey;
 use fns_trace::{LogHistogram, MetricsRegistry, RegMetric, RegStat};

@@ -6,7 +6,7 @@
 //! ```text
 //! fns-sim [--mode M|--all-modes] [--workload W] [--flows N] [--ring N]
 //!         [--mtu BYTES] [--cores N] [--pages-per-desc N] [--measure-ms N]
-//!         [--seed N] [--msg BYTES] [--faults P] [--jobs N] [--shards N]
+//!         [--seed N] [--msg BYTES] [--faults P] [--jobs N]
 //!         [--trace PATH] [--trace-cats LIST] [--sample-us N]
 //!         [--profile] [--metrics-json PATH] [--audit] [--audit-fatal]
 //! fns-sim --list-scenarios
@@ -20,13 +20,8 @@
 //! `FNS_JOBS` or the machine's parallelism). Results always print in mode
 //! order regardless of the job count.
 //!
-//! Intra-run parallelism: `--shards N` runs each simulation on the
-//! sharded engine — the run is partitioned into per-device shards that
-//! advance on up to N worker threads and merge at bounded sim-time
-//! epochs. Results are bit-identical at every `N >= 1` (the partition
-//! depends only on the config, never the thread count); `--shards 0`
-//! forces the classic monolithic engine. The `dc-scale` workload ships
-//! with the sharded engine on by default.
+//! Every run, `dc-scale` included, simulates one host: all its NICs,
+//! queues and storage devices share one IOMMU and one event loop.
 //!
 //! Telemetry: `--trace PATH` records the event trace and writes Chrome
 //! `trace_event` JSON (load it at <https://ui.perfetto.dev>); multi-mode
@@ -75,7 +70,7 @@ use fns::apps::{
     bidirectional_config, churn_config, dc_scale_config, fanin_config, incast_config, iperf_config,
     nginx_config, redis_config, rpc_config, spdk_config,
 };
-use fns::core::{Engine, HostSim, ProtectionMode, RunMetrics, Sabotage, SimConfig};
+use fns::core::{HostSim, ProtectionMode, RunMetrics, Sabotage, SimConfig};
 use fns::faults::{FaultConfig, FaultKind};
 use fns::harness::{soak_config, SweepRunner, SCENARIOS, SOAK_SCENARIOS};
 use fns::oracle::AuditConfig;
@@ -106,7 +101,6 @@ struct Args {
     msg_bytes: u64,
     faults: f64,
     jobs: Option<usize>,
-    shards: Option<usize>,
     trace_path: Option<String>,
     trace_mask: u8,
     sample_us: u64,
@@ -155,8 +149,6 @@ fn usage() -> ! {
          \x20              [--pages-per-desc N] [--measure-ms N] [--seed N] [--msg BYTES]\n\
          \x20              [--faults P]    inject faults at every site with probability P in [0,1]\n\
          \x20              [--jobs N]      run multi-mode sweeps on N worker threads\n\
-         \x20              [--shards N]    sharded engine: up to N shard worker threads per run\n\
-         \x20                              (bit-identical at any N >= 1; 0 forces monolithic)\n\
          \x20              [--trace PATH]  write a Chrome trace_event JSON (Perfetto-loadable)\n\
          \x20              [--trace-cats L]  categories to record: all | map,translate,invalidation,ring,fault\n\
          \x20              [--sample-us N] probe telemetry gauges every N us of sim time\n\
@@ -207,7 +199,6 @@ fn parse_args() -> Args {
         msg_bytes: 8192,
         faults: 0.0,
         jobs: None,
-        shards: None,
         trace_path: None,
         trace_mask: TraceCategory::ALL_MASK,
         sample_us: 0,
@@ -263,7 +254,6 @@ fn parse_args() -> Args {
                 }
                 args.jobs = Some(n);
             }
-            "--shards" => args.shards = Some(val().parse().unwrap_or_else(|_| usage())),
             "--trace" => args.trace_path = Some(val()),
             "--trace-cats" => {
                 args.trace_mask = TraceCategory::parse_mask(&val()).unwrap_or_else(|| usage());
@@ -380,9 +370,6 @@ fn build_config(args: &Args, mode: ProtectionMode) -> SimConfig {
     if let Some(s) = args.storage {
         cfg.topology.storage_devices = s;
     }
-    if let Some(s) = args.shards {
-        cfg.shards = s;
-    }
     if let Some(nth) = args.sabotage_xleak {
         cfg.sabotage = Sabotage::CrossDomainLeak { nth };
     }
@@ -408,9 +395,6 @@ fn build_soak_config(args: &Args, mode: ProtectionMode) -> SimConfig {
     }
     if let Some(c) = args.cores {
         cfg.cores = c;
-    }
-    if let Some(s) = args.shards {
-        cfg.shards = s;
     }
     cfg.seed = args.seed;
     if args.faults > 0.0 {
@@ -504,19 +488,17 @@ fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
                 eprintln!("fns-sim: cannot read {path}: {e}");
                 std::process::exit(1);
             });
-            let sim = Engine::restore(cfg, &bytes).unwrap_or_else(|e| {
+            let sim = HostSim::restore(cfg, &bytes).unwrap_or_else(|e| {
                 eprintln!(
                     "fns-sim: cannot resume from {path}: {e:?} (the resuming invocation \
-                     must rebuild the snapshotted configuration with the same flags, \
-                     and under the same engine family — sharded checkpoints resume at \
-                     any --shards >= 1, monolithic ones at --shards 0)"
+                     must rebuild the snapshotted configuration with the same flags)"
                 );
                 std::process::exit(1);
             });
             println!("resumed from {} at t={} ns", path, sim.now());
             sim
         }
-        None => Engine::new(cfg),
+        None => HostSim::new(cfg),
     };
     let end = cfg.end_time();
     let every = args.snapshot_every_ms * 1_000_000;
@@ -754,11 +736,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let mut cfg = build_config(&args, modes[0]);
-        // The instrumented path needs direct hands on one HostSim (the
-        // sabotage hook and the mid-panic flight-recorder flush live
-        // there), so it always runs the monolithic engine.
-        cfg.shards = 0;
+        let cfg = build_config(&args, modes[0]);
         let mut sim = HostSim::new(cfg);
         if let Some(nth) = args.sabotage_skip_inv {
             sim.set_sabotage(Sabotage::SkipRangeInvalidation { nth });

@@ -15,7 +15,7 @@
 //! checked against in crate tests, not here.
 
 use fns::apps::{iperf_config, redis_config, rpc_config};
-use fns::core::{Engine, HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
+use fns::core::{HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
 use fns::faults::FaultConfig;
 use fns::harness::SweepRunner;
 use fns::trace::{ObserveConfig, ProbeConfig, TraceConfig};
@@ -471,95 +471,6 @@ fn multi_device_audit_is_invisible_and_restore_safe() {
         })
         .collect();
     assert_identical(&golden, &resumed, "multi-device snapshot/restore");
-}
-
-/// Multi-NIC shard-shaped config: 4 NICs × 2 queues + storage — the
-/// per-NIC partition — with full telemetry armed so the chronological
-/// trace merge is part of every comparison.
-fn shard_multi_nic(mode: ProtectionMode) -> SimConfig {
-    let mut cfg = fns::apps::fanin_config(mode, 16);
-    cfg.topology.nics = 4;
-    cfg.topology.queues_per_nic = 2;
-    cfg.warmup = 500_000;
-    cfg.measure = 1_500_000;
-    cfg.aging_factor = 0.0;
-    cfg.trace = TraceConfig::all();
-    cfg.probes = ProbeConfig::every(100_000);
-    cfg
-}
-
-/// Single-NIC shard-shaped config: exercises the per-flow-group fallback
-/// partition (one shard per core).
-fn shard_single_nic(mode: ProtectionMode) -> SimConfig {
-    let mut cfg = iperf_config(mode, 4, 64);
-    cfg.cores = 4;
-    cfg.warmup = 500_000;
-    cfg.measure = 1_500_000;
-    cfg.aging_factor = 0.0;
-    cfg
-}
-
-fn shard_run(cfg: SimConfig, shards: usize) -> RunMetrics {
-    let mut c = cfg;
-    c.shards = shards;
-    Engine::new(c).run()
-}
-
-#[test]
-fn sharded_engine_is_identical_at_shards_1_2_4() {
-    // The `shards` knob caps worker threads; it must never touch results.
-    // Pin bit-identical RunMetrics — fault logs, traces, sampler series,
-    // and audit reports included — across shards 1/2/4, audited and
-    // unaudited, for the per-NIC partition and the single-NIC flow-group
-    // fallback.
-    for base in [
-        shard_multi_nic(ProtectionMode::FastAndSafe),
-        shard_single_nic(ProtectionMode::LinuxStrict),
-    ] {
-        for audited in [false, true] {
-            let mut cfg = base;
-            if audited {
-                cfg.audit = fns::oracle::AuditConfig::on();
-            }
-            let golden = vec![shard_run(cfg, 1)];
-            if audited {
-                assert!(
-                    golden[0].audit.is_clean(),
-                    "sharded run must stay violation-free"
-                );
-            }
-            for shards in [2usize, 4] {
-                let got = vec![shard_run(cfg, shards)];
-                assert_identical(&golden, &got, &format!("shards={shards} audited={audited}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_snapshot_at_epoch_boundary_restores_and_resumes() {
-    // Snapshot a 4-way sharded run exactly on a shard-epoch boundary,
-    // restore, resume: the end state equals the uninterrupted sharded run
-    // bit for bit — and the same bytes restore at a different worker cap
-    // (the snapshot format is cap-independent).
-    let mut cfg = shard_multi_nic(ProtectionMode::FastAndSafe);
-    cfg.shards = 4;
-    let golden = Engine::new(cfg).run();
-    let mut sim = Engine::new(cfg);
-    sim.step_until(700_000); // 7 × the 100 µs shard epoch
-    assert_eq!(sim.now(), 700_000);
-    let bytes = sim.snapshot();
-    drop(sim);
-    let resumed = Engine::restore(cfg, &bytes)
-        .expect("sharded snapshot restores")
-        .run();
-    assert_eq!(golden, resumed, "sharded resume diverged");
-    let mut recapped = cfg;
-    recapped.shards = 2;
-    let resumed_recapped = Engine::restore(recapped, &bytes)
-        .expect("sharded snapshot restores at another worker cap")
-        .run();
-    assert_eq!(golden, resumed_recapped, "recapped resume diverged");
 }
 
 /// FNV-1a digest of the full `Debug` rendering of a run's metrics: every
