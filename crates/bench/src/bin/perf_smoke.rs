@@ -1,42 +1,35 @@
 //! Simulator-performance smoke benchmark.
 //!
-//! Times a fixed basket of figure-shaped sweeps — sequentially and across
-//! a worker-count curve (1/2/4/8 jobs) — and writes the wall-clock
-//! numbers, events/sec, ns/event and ns/translation to
-//! `BENCH_simcore.json` (override the path with `FNS_BENCH_OUT`). Every
-//! timing is best-of-N wall clock (`FNS_BENCH_REPEATS`, default 3): the
-//! simulator is deterministic, so the *minimum* wall time is the least
-//! noise-contaminated estimate of its true cost — means and single shots
-//! on a shared box swing 2–3x with scheduler interference.
+//! Times a fixed basket of figure-shaped sweeps and writes, per figure,
+//! construction and event-loop time, ns/event, ns/translation and the cost
+//! of arming the full observability plane to `BENCH_simcore.json`
+//! (override the path with `FNS_BENCH_OUT`).
 //!
-//! The sequential and parallel passes run identical configurations, so the
-//! basket doubles as an end-to-end determinism check: any metric
-//! divergence between passes aborts the benchmark. A warm-arena pass also
-//! asserts the recycled event queue never grows in steady state.
+//! Each figure runs `FNS_BENCH_REPEATS` (default 5) interleaved rounds: a
+//! bare sequential sweep, then the same sweep with every observability
+//! tier armed. Every sweep starts from a fresh `RunArena`, as a figure
+//! binary's does, and times `HostSim::new_in` apart from `run_salvaging`.
+//! The JSON reports medians over the rounds, the spread between the
+//! quartiles of the bare rounds, and the armed overhead.
 //!
-//! This measures the *simulator's* performance, not the simulated
-//! system's; the JSON is a tracking artifact. The only perf *assertion*
-//! here is the 8-job basket speedup (> 1.5x), and it is skipped — loudly —
-//! when the host has fewer than 4 CPUs, when `FNS_SKIP_SPEEDUP_ASSERT` is
-//! set, or when the committed baseline JSON itself records `host_cpus: 1`
-//! (a ratchet minted on a starved container says nothing a fresh run on
-//! one could contradict), because a 1-CPU container cannot exhibit
-//! parallel speedup no matter how scalable the runner is (see DESIGN.md
-//! §11).
+//! Times are this thread's CPU time, read from
+//! `/proc/thread-self/schedstat`, so time the scheduler hands to other
+//! processes does not count. Where that file cannot be read the binary
+//! falls back to wall clock; the JSON's `timer` field says which was used.
+//!
+//! The binary only measures. The basket's correctness properties are
+//! pinned by `tests/golden_determinism.rs`, and the CI perf gate compares
+//! this JSON between the head and the merge-base built on one runner.
 
 use std::time::Instant;
 
 use fns_apps::{iperf_config, redis_config};
-use fns_bench::SweepRunner;
 use fns_core::{HostSim, ProtectionMode, RunArena, RunMetrics, SimConfig};
 use fns_trace::{JsonWriter, ObserveConfig, RegMetric, RegistryReport, Span, SpanSet};
 
 /// Shortened windows: the basket must finish in CI seconds, not minutes.
 const SMOKE_WARMUP_NS: u64 = 5_000_000;
 const SMOKE_MEASURE_NS: u64 = 10_000_000;
-
-/// Worker counts for the scaling curve.
-const JOBS_CURVE: [usize; 4] = [1, 2, 4, 8];
 
 fn smoke(mut cfg: SimConfig) -> SimConfig {
     cfg.warmup = SMOKE_WARMUP_NS;
@@ -88,38 +81,91 @@ fn basket() -> Vec<(&'static str, Vec<SimConfig>)> {
     figures
 }
 
-/// A compact equality fingerprint of one run's metrics: enough to catch any
-/// sequential/parallel divergence without a full PartialEq on RunMetrics.
-fn fingerprint(m: &RunMetrics) -> (u64, u64, u64, u64, u64, usize) {
-    (
-        m.rx_goodput_bytes,
-        m.tx_goodput_bytes,
-        m.events_processed,
-        m.iommu.translations,
-        m.iommu.memory_reads,
-        m.fault_log.len(),
-    )
+/// Thread CPU time from `/proc/thread-self/schedstat`, or wall clock where
+/// that file is missing or reads all zeros (scheduler statistics compiled
+/// out of the kernel).
+struct Clock {
+    thread_cpu: bool,
+    origin: Instant,
 }
 
-/// Runs `sweep` `repeats` times and returns the results plus the minimum
-/// wall-clock time in nanoseconds. Determinism makes the repeats free of
-/// result ambiguity; the min strips scheduler noise.
-fn best_of<F>(repeats: u32, mut sweep: F) -> (Vec<RunMetrics>, u128)
-where
-    F: FnMut() -> Vec<RunMetrics>,
-{
-    let mut best_wall = u128::MAX;
-    let mut out = Vec::new();
-    for _ in 0..repeats {
-        let t = Instant::now();
-        let results = sweep();
-        let wall = t.elapsed().as_nanos();
-        if wall < best_wall {
-            best_wall = wall;
+impl Clock {
+    fn new() -> Self {
+        Clock {
+            // A running thread has been scheduled in at least once, but its
+            // CPU time may not have been accounted yet: test the count.
+            thread_cpu: schedstat().is_some_and(|(_, timeslices)| timeslices > 0),
+            origin: Instant::now(),
         }
-        out = results;
     }
-    (out, best_wall)
+
+    fn name(&self) -> &'static str {
+        if self.thread_cpu {
+            "thread_cpu"
+        } else {
+            "wall"
+        }
+    }
+
+    fn now_ns(&self) -> u64 {
+        if self.thread_cpu {
+            schedstat().expect("schedstat was readable at start-up").0
+        } else {
+            self.origin.elapsed().as_nanos() as u64
+        }
+    }
+}
+
+/// This thread's `(nanoseconds on a CPU, timeslices run)`, the first and
+/// third fields of `/proc/thread-self/schedstat`.
+fn schedstat() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let mut fields = stat.split_whitespace().map(|f| f.parse::<u64>().ok());
+    let on_cpu_ns = fields.next()??;
+    let timeslices = fields.nth(1)??;
+    Some((on_cpu_ns, timeslices))
+}
+
+/// One timed sweep: construction and event-loop time summed over its runs.
+struct Sweep {
+    setup_ns: u64,
+    loop_ns: u64,
+    metrics: Vec<RunMetrics>,
+}
+
+/// Runs `configs` one after another in a fresh arena.
+fn sweep(clock: &Clock, configs: &[SimConfig]) -> Sweep {
+    let mut arena = RunArena::new();
+    let (mut setup_ns, mut loop_ns) = (0, 0);
+    let mut metrics = Vec::with_capacity(configs.len());
+    for &cfg in configs {
+        let t0 = clock.now_ns();
+        let sim = HostSim::new_in(cfg, &mut arena);
+        let t1 = clock.now_ns();
+        metrics.push(sim.run_salvaging(&mut arena));
+        let t2 = clock.now_ns();
+        setup_ns += t1 - t0;
+        loop_ns += t2 - t1;
+    }
+    Sweep {
+        setup_ns,
+        loop_ns,
+        metrics,
+    }
+}
+
+/// The `q`-quantile of `xs`, interpolated linearly between the two
+/// nearest ranks of the sorted values.
+fn quantile(xs: &[u64], q: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable();
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (sorted[pos.floor() as usize], sorted[pos.ceil() as usize]);
+    lo as f64 + (hi - lo) as f64 * pos.fract()
+}
+
+fn median(xs: &[u64]) -> f64 {
+    quantile(xs, 0.5)
 }
 
 struct FigureResult {
@@ -128,34 +174,39 @@ struct FigureResult {
     events: u64,
     translations: u64,
     /// CPU-span attribution summed over the figure's runs (simulated CPU
-    /// ns, not wall clock) — tracks where the modelled driver time goes.
+    /// ns, not the simulator's time).
     spans: SpanSet,
-    /// Registry percentiles from the observability-armed shadow pass,
-    /// aggregated over the figure's runs.
+    /// Registry percentiles from the armed sweeps, merged over the runs.
     registry: RegistryReport,
-    seq_wall_ns: u128,
-    par_wall_ns: u128,
-    /// Wall clock of the fully-armed sequential pass; only timed for the
-    /// figure that carries the overhead gate.
-    obs_seq_wall_ns: Option<u128>,
+    setup_ns: Vec<u64>,
+    loop_ns: Vec<u64>,
+    bare_ns: Vec<u64>,
+    armed_ns: Vec<u64>,
 }
 
 impl FigureResult {
-    fn speedup(&self) -> f64 {
-        self.seq_wall_ns as f64 / self.par_wall_ns.max(1) as f64
+    fn bare_ms(&self) -> f64 {
+        median(&self.bare_ns) / 1e6
     }
-    fn events_per_sec(&self, wall_ns: u128) -> f64 {
-        self.events as f64 / (wall_ns as f64 / 1e9)
+    fn armed_ms(&self) -> f64 {
+        median(&self.armed_ns) / 1e6
     }
-    fn ns_per_event(&self, wall_ns: u128) -> f64 {
-        wall_ns as f64 / self.events.max(1) as f64
+    fn bare_iqr_ms(&self) -> f64 {
+        (quantile(&self.bare_ns, 0.75) - quantile(&self.bare_ns, 0.25)) / 1e6
     }
-    fn ns_per_translation(&self, wall_ns: u128) -> f64 {
-        wall_ns as f64 / self.translations.max(1) as f64
+    fn bare_events_per_sec(&self) -> f64 {
+        self.events as f64 / (self.bare_ms() / 1e3)
     }
-    /// Share of the figure's modelled driver CPU spent in `span`, in
-    /// percent of the figure's span total (0 when the figure charges no
-    /// spans at all, e.g. a pure-IOMMU-off basket).
+    fn ns_per_event(&self) -> f64 {
+        self.bare_ms() * 1e6 / self.events.max(1) as f64
+    }
+    fn ns_per_translation(&self) -> f64 {
+        self.bare_ms() * 1e6 / self.translations.max(1) as f64
+    }
+    /// Share of the bare event rate lost when every tier is armed.
+    fn armed_overhead_pct(&self) -> f64 {
+        (1.0 - self.bare_ms() / self.armed_ms()) * 100.0
+    }
     fn span_share_pct(&self, span: Span) -> f64 {
         let total = self.spans.total_ns();
         if total == 0 {
@@ -165,286 +216,90 @@ impl FigureResult {
     }
 }
 
-struct CurvePoint {
-    jobs: usize,
-    wall_ns: u128,
-    events: u64,
-}
-
-/// The `host_cpus` recorded in the committed benchmark JSON at `path`,
-/// if the file exists and carries one. Hand-rolled scan — the workspace
-/// is offline, no serde — tolerant of whitespace around the colon.
-fn committed_host_cpus(path: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let rest = &text[text.find("\"host_cpus\"")? + "\"host_cpus\"".len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Warm-arena steady-state check: after one priming run, a recycled event
-/// queue must absorb an identical run without growing its storage.
-fn assert_steady_state_reallocs() {
-    let cfg = smoke(iperf_config(ProtectionMode::FastAndSafe, 5, 256));
-    let mut arena = RunArena::new();
-    let prime = HostSim::run_in(cfg, &mut arena);
-    let warm = HostSim::run_in(cfg, &mut arena);
-    assert_eq!(
-        fingerprint(&prime),
-        fingerprint(&warm),
-        "warm-arena run diverged from priming run"
-    );
-    assert_eq!(
-        arena.last_queue_reallocs(),
-        0,
-        "recycled event queue grew during a steady-state run"
-    );
-    println!("steady-state check: warm-arena event queue reallocs = 0");
-}
-
-/// Snapshot round-trip gate. Two parts: every basket config must be
-/// checkpointable — a non-snapshottable config is an explicit error
-/// naming the reason, never a silently skipped round-trip — and one
-/// representative run per figure must reproduce its uninterrupted
-/// fingerprint after a mid-run snapshot/restore (the full mode × backend
-/// matrix lives in tests/golden_determinism.rs; this is the smoke gate).
-fn assert_snapshot_roundtrip(name: &str, configs: &[SimConfig], golden: &RunMetrics) {
-    for (i, cfg) in configs.iter().enumerate() {
-        if let Some(reason) = cfg.snapshot_ineligibility() {
-            panic!("{name} run {i}: config cannot be checkpointed: {reason}");
+fn measure(clock: &Clock, rounds: u32, name: &'static str, bare: &[SimConfig]) -> FigureResult {
+    let armed: Vec<SimConfig> = bare
+        .iter()
+        .map(|&c| {
+            let mut c = c;
+            c.observe = ObserveConfig::full();
+            c
+        })
+        .collect();
+    let mut fig = FigureResult {
+        name,
+        runs: bare.len(),
+        events: 0,
+        translations: 0,
+        spans: SpanSet::default(),
+        registry: RegistryReport::default(),
+        setup_ns: Vec::new(),
+        loop_ns: Vec::new(),
+        bare_ns: Vec::new(),
+        armed_ns: Vec::new(),
+    };
+    for round in 0..rounds {
+        let b = sweep(clock, bare);
+        let a = sweep(clock, &armed);
+        fig.setup_ns.push(b.setup_ns);
+        fig.loop_ns.push(b.loop_ns);
+        fig.bare_ns.push(b.setup_ns + b.loop_ns);
+        fig.armed_ns.push(a.setup_ns + a.loop_ns);
+        if round == 0 {
+            for m in &b.metrics {
+                fig.events += m.events_processed;
+                fig.translations += m.iommu.translations;
+                fig.spans.merge(&m.spans);
+            }
+            for m in &a.metrics {
+                fig.registry.merge_stats(&m.registry);
+            }
         }
     }
-    let cfg = configs[0];
-    let mut sim = HostSim::new(cfg);
-    sim.step_until(cfg.warmup + cfg.measure / 2);
-    let bytes = sim.snapshot();
-    drop(sim);
-    let resumed = HostSim::restore(cfg, &bytes)
-        .unwrap_or_else(|e| panic!("{name}: snapshot failed to restore: {e:?}"))
-        .run();
-    assert_eq!(
-        fingerprint(golden),
-        fingerprint(&resumed),
-        "{name}: snapshot/restore diverged from the uninterrupted run"
-    );
+    fig
 }
 
 fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let repeats = std::env::var("FNS_BENCH_REPEATS")
+    let rounds = std::env::var("FNS_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse::<u32>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(3);
+        .unwrap_or(5);
     let out_path = std::env::var("FNS_BENCH_OUT").unwrap_or_else(|_| "BENCH_simcore.json".into());
-    // Read the committed baseline's host_cpus *before* overwriting it: a
-    // ratchet minted on a 1-CPU container carries no speedup information.
-    let baseline_cpus = committed_host_cpus(&out_path);
-    let parallel = SweepRunner::from_env();
-    let sequential = SweepRunner::new(1);
+    let clock = Clock::new();
     println!(
-        "=== perf_smoke: best of {repeats} wall-clock runs, sequential vs {} workers, \
+        "=== perf_smoke: {rounds} interleaved bare/armed rounds per figure, {} time, \
          {host_cpus} host CPUs ===",
-        parallel.jobs()
+        clock.name()
     );
-
-    assert_steady_state_reallocs();
 
     let mut figures = Vec::new();
     for (name, configs) in basket() {
-        let runs = configs.len();
-
-        let (seq, seq_wall_ns) = best_of(repeats, || sequential.run_sims(configs.clone()));
-        let (par, par_wall_ns) = best_of(repeats, || parallel.run_sims(configs.clone()));
-
-        for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
-            assert_eq!(
-                fingerprint(a),
-                fingerprint(b),
-                "{name} run {i}: parallel metrics diverged from sequential"
-            );
-        }
-        assert_snapshot_roundtrip(name, &configs, &seq[0]);
-
-        // Observability-armed shadow pass: same configs with every tier on
-        // (provenance + txn spans + registry + flight). Yields the registry
-        // percentiles for the JSON, doubles as a behavior-invisibility
-        // check against the bare pass, and — for fig2 — is timed to gate
-        // the instrumentation overhead.
-        let armed: Vec<SimConfig> = configs
-            .iter()
-            .map(|&c| {
-                let mut c = c;
-                c.observe = ObserveConfig::full();
-                c
-            })
-            .collect();
-        let (obs, obs_seq_wall_ns) = if name == "fig2_flow_sweep" {
-            let (obs, wall) = best_of(repeats, || sequential.run_sims(armed.clone()));
-            (obs, Some(wall))
-        } else {
-            (sequential.run_sims(armed), None)
-        };
-        for (i, (a, b)) in seq.iter().zip(&obs).enumerate() {
-            assert_eq!(
-                fingerprint(a),
-                fingerprint(b),
-                "{name} run {i}: armed-observability metrics diverged from bare"
-            );
-        }
-        let mut registry = RegistryReport::default();
-        for m in &obs {
-            registry.merge_stats(&m.registry);
-        }
-
-        let mut spans = SpanSet::default();
-        for m in &seq {
-            spans.merge(&m.spans);
-        }
-        let fig = FigureResult {
-            name,
-            runs,
-            events: seq.iter().map(|m| m.events_processed).sum(),
-            translations: seq.iter().map(|m| m.iommu.translations).sum(),
-            spans,
-            registry,
-            seq_wall_ns,
-            par_wall_ns,
-            obs_seq_wall_ns,
-        };
+        let f = measure(&clock, rounds, name, &configs);
         println!(
-            "{:>20}: {:2} runs  seq {:7.2} ms  par {:7.2} ms  speedup {:4.2}x  \
-             {:6.2} Mev/s seq  {:6.1} ns/event seq  {:6.1} ns/translation seq  \
-             inv-wait {:4.1}%",
-            fig.name,
-            fig.runs,
-            seq_wall_ns as f64 / 1e6,
-            par_wall_ns as f64 / 1e6,
-            fig.speedup(),
-            fig.events_per_sec(seq_wall_ns) / 1e6,
-            fig.ns_per_event(seq_wall_ns),
-            fig.ns_per_translation(seq_wall_ns),
-            fig.span_share_pct(Span::InvalidationWait),
+            "{:>20}: {:2} runs  setup {:7.2} ms  loop {:7.2} ms  (IQR {:5.2} ms)  \
+             {:6.1} ns/event  {:6.1} ns/translation  armed {:+5.1}%",
+            f.name,
+            f.runs,
+            median(&f.setup_ns) / 1e6,
+            median(&f.loop_ns) / 1e6,
+            f.bare_iqr_ms(),
+            f.ns_per_event(),
+            f.ns_per_translation(),
+            f.armed_overhead_pct(),
         );
-        figures.push(fig);
-    }
-
-    // Worker-count scaling curve over the concatenated basket. Each point
-    // is best-of-N of the full basket through one runner.
-    let all_configs: Vec<SimConfig> = basket().into_iter().flat_map(|(_, c)| c).collect();
-    let mut curve = Vec::new();
-    for &jobs in &JOBS_CURVE {
-        let runner = SweepRunner::new(jobs);
-        let (results, wall_ns) = best_of(repeats, || runner.run_sims(all_configs.clone()));
-        let events: u64 = results.iter().map(|m| m.events_processed).sum();
-        println!(
-            "jobs curve: {jobs} workers  {:7.2} ms  {:6.2} Mev/s",
-            wall_ns as f64 / 1e6,
-            events as f64 / (wall_ns as f64 / 1e9) / 1e6,
-        );
-        curve.push(CurvePoint {
-            jobs,
-            wall_ns,
-            events,
-        });
-    }
-    let basket_speedup = curve[0].wall_ns as f64 / curve.last().unwrap().wall_ns.max(1) as f64;
-    println!(
-        "basket: {:.2} ms at 1 worker, {:.2} ms at {} workers, speedup {:.2}x \
-         ({host_cpus} host CPUs)",
-        curve[0].wall_ns as f64 / 1e6,
-        curve.last().unwrap().wall_ns as f64 / 1e6,
-        curve.last().unwrap().jobs,
-        basket_speedup,
-    );
-
-    // The one hard perf gate: the 8-job basket must beat sequential by
-    // 1.5x. Guarded because speedup physically requires cores — on a
-    // starved runner the gate would only measure the container, not the
-    // code. FNS_SKIP_SPEEDUP_ASSERT=1 force-skips on flaky shared hosts,
-    // and a committed baseline that itself recorded host_cpus=1 skips the
-    // same way (its ratchet was minted without cores to compare against).
-    let skip_env = std::env::var("FNS_SKIP_SPEEDUP_ASSERT").is_ok();
-    let baseline_single_cpu = baseline_cpus.is_some_and(|n| n <= 1);
-    if skip_env || host_cpus < 4 || baseline_single_cpu {
-        println!(
-            "speedup assert SKIPPED ({})",
-            if skip_env {
-                "FNS_SKIP_SPEEDUP_ASSERT set".to_string()
-            } else if host_cpus < 4 {
-                format!("{host_cpus} host CPUs < 4")
-            } else {
-                "committed baseline recorded host_cpus=1 — same escape as \
-                 FNS_SKIP_SPEEDUP_ASSERT"
-                    .to_string()
-            }
-        );
-    } else {
-        assert!(
-            basket_speedup > 1.5,
-            "8-job basket speedup {basket_speedup:.2}x <= 1.5x on a {host_cpus}-CPU host"
-        );
-        println!("speedup assert PASSED: {basket_speedup:.2}x > 1.5x");
-    }
-
-    // Observability overhead gate: the fully-armed fig2 basket must keep
-    // >= 90% of the bare sequential event rate. Best-of-N minima on both
-    // sides strip scheduler noise; FNS_SKIP_OBS_OVERHEAD_ASSERT=1 escapes
-    // on hosts too noisy even for minima.
-    let fig2 = figures
-        .iter()
-        .find(|f| f.name == "fig2_flow_sweep")
-        .expect("fig2 in basket");
-    let obs_wall = fig2.obs_seq_wall_ns.expect("fig2 armed pass is timed");
-    let bare_rate = fig2.events_per_sec(fig2.seq_wall_ns);
-    let armed_rate = fig2.events_per_sec(obs_wall);
-    let overhead_pct = (1.0 - armed_rate / bare_rate) * 100.0;
-    println!(
-        "observability overhead (fig2): bare {:.2} Mev/s, armed {:.2} Mev/s, {overhead_pct:+.1}%",
-        bare_rate / 1e6,
-        armed_rate / 1e6,
-    );
-    if std::env::var("FNS_SKIP_OBS_OVERHEAD_ASSERT").is_ok() {
-        println!("observability overhead assert SKIPPED (FNS_SKIP_OBS_OVERHEAD_ASSERT set)");
-    } else {
-        assert!(
-            armed_rate >= 0.9 * bare_rate,
-            "full observability costs {overhead_pct:.1}% of fig2 sequential event rate (>10%)"
-        );
-        println!("observability overhead assert PASSED: {overhead_pct:.1}% <= 10%");
+        figures.push(f);
     }
 
     // Hand-rolled JSON through the fns-trace writer: the workspace is
     // offline, no serde.
     let mut w = JsonWriter::with_capacity(4096);
     w.begin_object();
-    w.field_u64("jobs", parallel.jobs() as u64);
+    w.field_str("timer", clock.name());
     w.field_u64("host_cpus", host_cpus as u64);
-    w.field_u64("repeats", repeats as u64);
-    w.field_f64("basket_seq_wall_ms", curve[0].wall_ns as f64 / 1e6);
-    w.field_f64(
-        "basket_par_wall_ms",
-        curve.last().unwrap().wall_ns as f64 / 1e6,
-    );
-    w.field_f64("basket_speedup", basket_speedup);
-    w.key("jobs_curve");
-    w.begin_array();
-    for p in &curve {
-        w.begin_object();
-        w.field_u64("jobs", p.jobs as u64);
-        w.field_f64("wall_ms", p.wall_ns as f64 / 1e6);
-        w.field_f64("events_per_sec", p.events as f64 / (p.wall_ns as f64 / 1e9));
-        w.field_f64(
-            "speedup_vs_seq",
-            curve[0].wall_ns as f64 / p.wall_ns.max(1) as f64,
-        );
-        w.end_object();
-    }
-    w.end_array();
+    w.field_u64("rounds", rounds as u64);
     w.key("figures");
     w.begin_array();
     for f in &figures {
@@ -453,30 +308,17 @@ fn main() {
         w.field_u64("runs", f.runs as u64);
         w.field_u64("events", f.events);
         w.field_u64("translations", f.translations);
-        w.field_f64("seq_wall_ms", f.seq_wall_ns as f64 / 1e6);
-        w.field_f64("par_wall_ms", f.par_wall_ns as f64 / 1e6);
-        w.field_f64("speedup", f.speedup());
-        w.field_f64("seq_events_per_sec", f.events_per_sec(f.seq_wall_ns));
-        w.field_f64("par_events_per_sec", f.events_per_sec(f.par_wall_ns));
-        w.field_f64("seq_ns_per_event", f.ns_per_event(f.seq_wall_ns));
-        w.field_f64("par_ns_per_event", f.ns_per_event(f.par_wall_ns));
-        w.field_f64(
-            "seq_ns_per_translation",
-            f.ns_per_translation(f.seq_wall_ns),
-        );
-        w.field_f64(
-            "par_ns_per_translation",
-            f.ns_per_translation(f.par_wall_ns),
-        );
-        w.key("spans");
-        w.begin_object();
-        for span in Span::ALL {
-            w.field_u64(span.name(), f.spans.get(span));
-        }
-        w.end_object();
-        // The same buckets as shares of the figure's span total, so a
-        // ratchet on (say) invalidation_wait_pct needs no client-side
-        // arithmetic over the raw nanosecond counters.
+        w.field_f64("setup_ms", median(&f.setup_ns) / 1e6);
+        w.field_f64("loop_ms", median(&f.loop_ns) / 1e6);
+        w.field_f64("bare_ms", f.bare_ms());
+        w.field_f64("bare_iqr_ms", f.bare_iqr_ms());
+        w.field_f64("armed_ms", f.armed_ms());
+        w.field_f64("armed_overhead_pct", f.armed_overhead_pct());
+        w.field_f64("bare_events_per_sec", f.bare_events_per_sec());
+        w.field_f64("ns_per_event", f.ns_per_event());
+        w.field_f64("ns_per_translation", f.ns_per_translation());
+        // Shares of the figure's modelled driver CPU (simulated time), so a
+        // reader needs no arithmetic over raw nanosecond counters.
         w.key("span_shares_pct");
         w.begin_object();
         for span in Span::ALL {
@@ -487,8 +329,8 @@ fn main() {
             "invalidation_wait_pct",
             f.span_share_pct(Span::InvalidationWait),
         );
-        // Registry percentiles from the armed shadow pass: per metric,
-        // `(count, p50, p99, p999)` aggregated over the figure's runs.
+        // Registry percentiles from the armed sweep: per metric,
+        // `(count, p50, p99, p999)` merged over the figure's runs.
         w.key("registry");
         w.begin_object();
         for metric in RegMetric::ALL {
@@ -502,14 +344,6 @@ fn main() {
             w.end_object();
         }
         w.end_object();
-        if let Some(obs_wall) = f.obs_seq_wall_ns {
-            w.field_f64("obs_seq_wall_ms", obs_wall as f64 / 1e6);
-            w.field_f64("obs_seq_events_per_sec", f.events_per_sec(obs_wall));
-            w.field_f64(
-                "obs_overhead_pct",
-                (1.0 - f.events_per_sec(obs_wall) / f.events_per_sec(f.seq_wall_ns)) * 100.0,
-            );
-        }
         w.end_object();
     }
     w.end_array();

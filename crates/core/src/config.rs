@@ -125,11 +125,6 @@ impl Topology {
         self.nics <= 1 && self.queues_per_nic <= 1 && self.storage_devices == 0
     }
 
-    /// The protection domain of NIC `nic`.
-    pub fn nic_domain(&self, nic: u16) -> u16 {
-        nic
-    }
-
     /// The protection domain of storage device `dev`.
     pub fn storage_domain(&self, dev: u16) -> u16 {
         self.nics.max(1) + dev
@@ -410,6 +405,37 @@ impl SimConfig {
         if let Some(&(_, reason)) = counts.iter().find(|&&(n, _)| n == 0) {
             return Err(ConfigError(reason));
         }
+        if self.measure == 0 {
+            return Err(ConfigError("measure must be at least 1 ns"));
+        }
+        // A zero-byte message describes no transfer: RPC and SPDK runs
+        // re-issued one until a `Vec` outgrew memory, and the other shapes
+        // ran on with nothing to send.
+        let sizes: &[(u64, &'static str)] = match self.workload {
+            Workload::RequestResponse {
+                request_bytes,
+                response_bytes,
+                ..
+            } => &[
+                (request_bytes, "request_bytes must be at least 1 byte"),
+                (response_bytes, "response_bytes must be at least 1 byte"),
+            ],
+            Workload::RpcColocated {
+                rpc_bytes,
+                response_bytes,
+            } => &[
+                (rpc_bytes, "rpc_bytes must be at least 1 byte"),
+                (response_bytes, "response_bytes must be at least 1 byte"),
+            ],
+            Workload::Churn { conn_bytes } => &[(conn_bytes, "conn_bytes must be at least 1 byte")],
+            Workload::Incast { burst_bytes, .. } => {
+                &[(burst_bytes, "burst_bytes must be at least 1 byte")]
+            }
+            Workload::IperfRx | Workload::Bidirectional { .. } => &[],
+        };
+        if let Some(&(_, reason)) = sizes.iter().find(|&&(n, _)| n == 0) {
+            return Err(ConfigError(reason));
+        }
         if self.shards != 0 {
             return Err(ConfigError(
                 "shards: the sharded engine was removed; every run is one host (shards must be 0)",
@@ -434,8 +460,8 @@ impl SimConfig {
     /// means `HostSim::snapshot`/`restore` round-trips it bit-identically.
     ///
     /// Checkpointing callers (the CLI's `--snapshot-every`/`--resume`, the
-    /// soak runner, the perf-smoke snapshot gate) must surface this reason
-    /// as a hard error instead of silently dropping state.
+    /// soak runner) must surface this reason as a hard error instead of
+    /// silently dropping state.
     pub fn snapshot_ineligibility(&self) -> Option<&'static str> {
         if self.audit.enabled && self.audit.fatal {
             // The fatal oracle panics at the first violation, so a resumed
@@ -475,16 +501,46 @@ mod tests {
         assert_eq!(c9k.ring_descriptors(), 24);
     }
 
+    fn rr(request_bytes: u64, response_bytes: u64) -> Workload {
+        Workload::RequestResponse {
+            request_bytes,
+            response_bytes,
+            depth: 1,
+            dut_is_server: true,
+            app_cpu_per_request_ns: 0,
+            app_cpu_per_kb_ns: 0,
+        }
+    }
+
+    fn rpc(rpc_bytes: u64, response_bytes: u64) -> Workload {
+        Workload::RpcColocated {
+            rpc_bytes,
+            response_bytes,
+        }
+    }
+
     #[test]
     fn validate_refuses_every_zero_count() {
         let c = SimConfig::paper_default(ProtectionMode::FastAndSafe);
         assert_eq!(c.validate(), Ok(()));
-        let zeroed: [fn(&mut SimConfig); 5] = [
+        let zeroed: [fn(&mut SimConfig); 12] = [
             |c| c.cores = 0,
             |c| c.flows = 0,
             |c| c.mtu = 0,
             |c| c.ring_packets = 0,
             |c| c.pages_per_descriptor = 0,
+            |c| c.measure = 0,
+            |c| c.workload = rr(0, 64),
+            |c| c.workload = rr(64, 0),
+            |c| c.workload = rpc(0, 64),
+            |c| c.workload = rpc(64, 0),
+            |c| c.workload = Workload::Churn { conn_bytes: 0 },
+            |c| {
+                c.workload = Workload::Incast {
+                    burst_bytes: 0,
+                    period_ns: 1_000,
+                }
+            },
         ];
         for zero in zeroed {
             let mut bad = c;
@@ -503,22 +559,10 @@ mod tests {
     #[test]
     fn validate_refuses_peer_ids_that_alias_dut_ids() {
         let mut c = SimConfig::paper_default(ProtectionMode::FastAndSafe);
-        let rr = Workload::RequestResponse {
-            request_bytes: 64,
-            response_bytes: 64,
-            depth: 1,
-            dut_is_server: true,
-            app_cpu_per_request_ns: 0,
-            app_cpu_per_kb_ns: 0,
-        };
-        let rpc = Workload::RpcColocated {
-            rpc_bytes: 64,
-            response_bytes: 64,
-        };
         for (workload, most) in [
             (Workload::Bidirectional { tx_flows: 4 }, 1000),
-            (rr, 1000),
-            (rpc, 999),
+            (rr(64, 64), 1000),
+            (rpc(64, 64), 999),
         ] {
             c.workload = workload;
             c.flows = most;

@@ -1954,15 +1954,11 @@ impl DmaDriver {
         t.reads()
     }
 
-    /// Translates a *possibly-unmapped* IOVA (the chaos plane's stale-DMA
-    /// probe): a checked translation, audited like any device access but
-    /// never debug-asserted — faulting is the expected strict-mode
-    /// outcome. Returns whether the access leaked through.
-    pub fn probe_translate(&mut self, iova: Iova) -> bool {
-        self.probe_translate_in(0, iova)
-    }
-
-    /// [`DmaDriver::probe_translate`] issued from protection domain `d`.
+    /// Translates a *possibly-unmapped* IOVA issued from protection domain
+    /// `d` (the chaos plane's stale-DMA probe): a checked translation,
+    /// audited like any device access but never debug-asserted — faulting
+    /// is the expected strict-mode outcome. Returns whether the access
+    /// leaked through.
     pub fn probe_translate_in(&mut self, d: u16, iova: Iova) -> bool {
         if self.mode == ProtectionMode::IommuOff {
             return false;
@@ -1977,11 +1973,6 @@ impl DmaDriver {
         });
         pa.is_some()
     }
-}
-
-/// A physical-frame placeholder used by tests.
-pub fn test_frame(pfn: u64) -> PhysAddr {
-    PhysAddr::from_pfn(pfn)
 }
 
 #[cfg(test)]

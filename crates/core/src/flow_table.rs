@@ -175,14 +175,6 @@ impl<T> FlowTable<T> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// Iterates the states mutably in ascending flow-id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.low
-            .iter_mut()
-            .chain(self.high.iter_mut())
-            .filter_map(|v| v.as_mut())
-    }
-
     /// Serializes both segments slot by slot for checkpointing, so a
     /// restore allocates no more slots than the snapshot spells out.
     pub fn snap_with(

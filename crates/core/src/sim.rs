@@ -653,7 +653,7 @@ impl RunArena {
 
     /// Number of times the event queue grew its storage during the most
     /// recently harvested run. A warm arena on a steady workload reports
-    /// zero — the smoke benchmark asserts exactly that.
+    /// zero — `arena_recycled_runs_match_fresh_runs` asserts exactly that.
     pub fn last_queue_reallocs(&self) -> u64 {
         self.last_queue_reallocs
     }
@@ -1522,8 +1522,8 @@ impl HostSim {
     /// Finishes a sim built with [`HostSim::new_in`]: runs to the configured
     /// end time, collects metrics, and harvests the run's allocations back
     /// into `arena` for the next construction. `run_in` is exactly
-    /// `new_in` + `run_salvaging`; the split exists so callers (e.g. the
-    /// profiling harness) can time construction and the event loop apart.
+    /// `new_in` + `run_salvaging`; the split exists so callers (e.g.
+    /// `perf_smoke`) can time construction and the event loop apart.
     pub fn run_salvaging(mut self, arena: &mut RunArena) -> RunMetrics {
         let end = self.cfg.end_time();
         self.step_until(end);
@@ -1546,25 +1546,6 @@ impl HostSim {
     /// moment when the invalidation drain is mid-flight.
     pub fn pending_wipe_epochs(&self) -> usize {
         self.drv.pending_wipes()
-    }
-
-    /// Snapshot of the peer senders' transport state:
-    /// `(flow, snd_una, cwnd, timeouts, retransmits, rto_deadline)`.
-    /// Debug/inspection helper for tests and examples.
-    pub fn peer_flow_states(&self) -> Vec<(FlowId, u64, u64, u64, u64, Option<Nanos>)> {
-        self.peer_senders
-            .iter()
-            .map(|(f, s)| {
-                (
-                    f,
-                    s.bytes_in_flight(),
-                    s.cwnd(),
-                    s.timeouts,
-                    s.retransmits,
-                    s.rto_deadline(),
-                )
-            })
-            .collect()
     }
 
     /// Finalizes the run at the configured end time (use after

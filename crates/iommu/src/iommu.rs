@@ -212,11 +212,6 @@ impl Iommu {
         &self.pts[0]
     }
 
-    /// Read access to `d`'s IO page table.
-    pub fn page_table_in(&self, d: u16) -> &IoPageTable {
-        &self.pts[d as usize]
-    }
-
     /// Performance counters.
     pub fn stats(&self) -> IommuStats {
         self.stats
@@ -225,12 +220,6 @@ impl Iommu {
     /// Per-domain counter slices (index = domain ID).
     pub fn domain_stats(&self) -> &[DomainStats] {
         &self.dstats
-    }
-
-    /// Whether any IOTLB entry (4 KB or huge) would serve `iova` issued by
-    /// domain 0, without touching LRU recency state or counters.
-    pub fn iotlb_contains(&self, iova: Iova) -> bool {
-        self.iotlb_contains_in(0, iova)
     }
 
     /// Whether any IOTLB entry (4 KB or huge) would serve `iova` issued by
@@ -291,32 +280,6 @@ impl Iommu {
     /// which is the whole point of the paper.
     pub fn unmap_range_in(&mut self, d: u16, range: IovaRange) -> Result<UnmapOutcome, PtError> {
         self.pts[d as usize].unmap_range(range)
-    }
-
-    /// Translates one domain-0 device access, surfacing a failed
-    /// translation as a typed fault.
-    pub fn translate_checked(
-        &mut self,
-        iova: Iova,
-    ) -> Result<(PhysAddr, u32), crate::fault::IommuFault> {
-        self.translate_checked_in(0, iova)
-    }
-
-    /// Translates one device access issued by domain `d`, surfacing a
-    /// failed translation as a typed
-    /// [`crate::fault::IommuFault::Translation`] (the DMAR-fault view of
-    /// [`Iommu::translate_in`]).
-    pub fn translate_checked_in(
-        &mut self,
-        d: u16,
-        iova: Iova,
-    ) -> Result<(PhysAddr, u32), crate::fault::IommuFault> {
-        match self.translate_in(d, iova) {
-            Translation::Ok { pa, reads, .. } => Ok((pa, reads)),
-            Translation::Fault { reads } => {
-                Err(crate::fault::IommuFault::Translation { iova, reads })
-            }
-        }
     }
 
     /// Translates one domain-0 device access.
@@ -605,11 +568,6 @@ impl Iommu {
         }
     }
 
-    /// Domain-0 wrapper for [`Iommu::invalidate_ptcache_leaf_in`].
-    pub fn invalidate_ptcache_leaf(&mut self, range: IovaRange) {
-        self.invalidate_ptcache_leaf_in(0, range);
-    }
-
     /// Wipes leaf-level (PTcache-L3) entries of domain `d` overlapping
     /// `range`, plus any upper-level entry whose *entire span* lies inside
     /// the range (required for safety when a large unmap reclaims
@@ -648,11 +606,6 @@ impl Iommu {
                 region += 1;
             }
         }
-    }
-
-    /// Domain-0 wrapper for [`Iommu::invalidate_ptcache_upper_in`].
-    pub fn invalidate_ptcache_upper(&mut self, range: IovaRange) {
-        self.invalidate_ptcache_upper_in(0, range);
     }
 
     /// Wipes the upper-level (PTcache-L1/L2) entries of domain `d` covering
@@ -855,11 +808,6 @@ impl Iommu {
             stats,
             dstats,
         })
-    }
-
-    /// Protection-domain ID this unit serves (registry/tenant key).
-    pub fn domain_id(&self) -> u16 {
-        self.config.domain
     }
 
     /// Current IOTLB occupancy (test/inspection helper).

@@ -175,11 +175,6 @@ impl FrameAllocator {
         Ok(())
     }
 
-    /// Returns `true` if `pa`'s frame is currently allocated.
-    pub fn is_allocated(&self, pa: PhysAddr) -> bool {
-        self.bit_test(pa.pfn())
-    }
-
     /// Frames currently allocated.
     pub fn in_use(&self) -> usize {
         self.in_use

@@ -167,15 +167,6 @@ impl DctcpSender {
         self.alpha
     }
 
-    /// Bytes the application has queued that are not yet acknowledged.
-    pub fn unacked_app_bytes(&self) -> u64 {
-        if self.unbounded {
-            u64::MAX
-        } else {
-            self.app_limit - self.snd_una
-        }
-    }
-
     /// Returns `true` when all deposited application data is acknowledged.
     pub fn is_drained(&self) -> bool {
         !self.unbounded && self.snd_una == self.app_limit
@@ -327,12 +318,6 @@ impl DctcpSender {
     /// datapath owns timestamps. Returns `None` (hook for future precision).
     fn rtt_sample(&self, _now: Nanos) -> Option<Nanos> {
         None
-    }
-
-    /// Feeds an externally measured RTT sample (the datapath timestamps
-    /// packets end to end).
-    pub fn record_rtt(&mut self, rtt: Nanos) {
-        self.srtt = (7 * self.srtt + rtt) / 8;
     }
 
     /// Handles a retransmission timeout: collapse the window and go back to

@@ -22,7 +22,7 @@
 //! streams step for step.
 //!
 //! The queue honors `with_capacity`/`reserve` and counts storage growths
-//! ([`EventQueue::reallocs`]) so benchmarks can assert that a pre-sized
+//! ([`EventQueue::reallocs`]) so tests can assert that a pre-sized
 //! queue never reallocates in steady state.
 
 use std::cmp::Reverse;
@@ -358,8 +358,8 @@ impl<E> EventQueue<E> {
 
     /// How many times event storage has grown since creation (or the last
     /// [`EventQueue::reset`]). A queue sized with `with_capacity` above its
-    /// steady-state backlog reports zero — the benchmark smoke run asserts
-    /// exactly that.
+    /// steady-state backlog reports zero — the warm-arena golden test
+    /// asserts exactly that.
     pub fn reallocs(&self) -> u64 {
         self.wheel.grew
     }

@@ -14,7 +14,7 @@
 //! *journal* of `(pfn, event)` entries — recording is an append (or a
 //! ring overwrite once the journal fills), never a per-page table lookup,
 //! which keeps a fully-armed run within the observability overhead budget
-//! (`perf_smoke` gates it at <10% of the bare event rate). The per-page
+//! (CI's perf gate holds it under 10% of the bare event rate). The per-page
 //! rings are *materialized* from the journal at dump/explain time, where
 //! the page-admission cap (`max_pages`, first-come, focus always
 //! admitted) and the per-page ring cap (`per_page`, keep-latest) apply

@@ -137,11 +137,6 @@ impl TxnTrace {
         self.done.is_empty()
     }
 
-    /// Open (uncompleted) spans.
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-
     /// Dumps completed records in completion order (open spans are
     /// counted, not listed — they are still in flight).
     pub fn dump(&self) -> TxnDump {

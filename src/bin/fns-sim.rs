@@ -342,6 +342,9 @@ fn build_config(args: &Args, mode: ProtectionMode) -> SimConfig {
     let mut cfg = match args.workload.as_str() {
         "iperf" => iperf_config(mode, args.flows, args.ring),
         "bidir" => bidirectional_config(mode, args.flows),
+        // A redis SET carries protocol bytes around its value, so an empty
+        // value would pass `validate` as a 32-byte request.
+        "redis" if args.msg_bytes == 0 => refuse("msg: a redis value must be at least 1 byte"),
         "redis" => redis_config(mode, args.msg_bytes),
         "nginx" => nginx_config(mode, args.msg_bytes),
         "spdk" => spdk_config(mode, args.msg_bytes),
@@ -408,10 +411,15 @@ fn build_soak_config(args: &Args, mode: ProtectionMode) -> SimConfig {
 /// reason, before any banner or result line is printed.
 fn runnable(cfg: SimConfig) -> SimConfig {
     if let Err(e) = cfg.validate() {
-        eprintln!("fns-sim: invalid configuration: {e}");
-        std::process::exit(2);
+        refuse(e.0);
     }
     cfg
+}
+
+/// Exits 2 with `reason` on stderr and nothing on stdout.
+fn refuse(reason: &str) -> ! {
+    eprintln!("fns-sim: invalid configuration: {reason}");
+    std::process::exit(2);
 }
 
 fn apply_telemetry_flags(args: &Args, cfg: &mut SimConfig) {

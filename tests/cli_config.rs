@@ -1,24 +1,53 @@
 //! `fns-sim` refuses configurations that cannot describe a host: a zero
-//! count, a malformed number or a retired flag exits 2 with nothing on
-//! stdout instead of panicking (exit 101) or running a different
-//! experiment than the one printed.
+//! count, window or message size, a malformed number or a retired flag
+//! exits 2 with nothing on stdout instead of panicking (exit 101) or
+//! running a different experiment than the one printed.
 
 use std::process::Command;
 
 #[test]
 fn zero_counts_exit_2_with_the_reason() {
-    for flag in ["--pages-per-desc", "--cores", "--ring", "--mtu", "--flows"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fns-sim"))
-            .args([flag, "0", "--measure-ms", "1"])
+    // Each case runs under a 1.5 GB address-space cap and a wall timeout:
+    // a zero-byte message used to grow a `Vec` until the allocator gave
+    // up, which must show here as a failed case, not a stuck test.
+    let mut cases: Vec<(Vec<&str>, &str)> = [
+        ("--pages-per-desc", "pages_per_descriptor"),
+        ("--cores", "cores"),
+        ("--ring", "ring_packets"),
+        ("--mtu", "mtu"),
+        ("--flows", "flows"),
+        ("--measure-ms", "measure"),
+    ]
+    .into_iter()
+    .map(|(flag, reason)| (vec![flag, "0"], reason))
+    .collect();
+    for (workload, reason) in [
+        ("redis", "redis value"),
+        ("nginx", "response_bytes"),
+        ("spdk", "response_bytes"),
+        ("rpc", "rpc_bytes"),
+        ("incast", "burst_bytes"),
+        ("mt-incast", "burst_bytes"),
+        ("churn", "conn_bytes"),
+        ("mt-churn", "conn_bytes"),
+    ] {
+        cases.push((vec!["--workload", workload, "--msg", "0"], reason));
+    }
+    for (args, reason) in cases {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 1500000; exec timeout 60 \"$@\"", "sh"])
+            .arg(env!("CARGO_BIN_EXE_fns-sim"))
+            .args(["--mode", "fns", "--measure-ms", "1"])
+            .args(&args)
             .output()
-            .expect("fns-sim runs");
+            .expect("sh runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("invalid configuration"),
-            "{flag} 0 gave no reason: {stderr}"
+            stderr.contains("invalid configuration") && stderr.contains(reason),
+            "{args:?} gave no reason naming {reason}: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "{flag} 0 printed a banner");
+        assert!(out.stdout.is_empty(), "{args:?} printed a banner");
     }
 }
 

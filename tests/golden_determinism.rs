@@ -53,6 +53,20 @@ fn chaos_shaped() -> Vec<SimConfig> {
     configs
 }
 
+/// Two shapes of the benchmark basket that no other sweep here covers, at
+/// the basket's windows: fig8's largest ring (2048 packets) and fig11a's
+/// redis sweep (256-packet rings, 8 cores, 9 KB MTU). Shorter windows end
+/// before the 2048-packet ring completes a descriptor.
+fn basket_edge_shapes() -> Vec<SimConfig> {
+    let mut fig8 = iperf_config(ProtectionMode::FastAndSafe, 5, 2048);
+    let mut fig11a = redis_config(ProtectionMode::LinuxStrict, 4 << 10);
+    for cfg in [&mut fig8, &mut fig11a] {
+        cfg.warmup = 5_000_000;
+        cfg.measure = 10_000_000;
+    }
+    vec![fig8, fig11a]
+}
+
 fn run_sequentially(configs: &[SimConfig]) -> Vec<RunMetrics> {
     configs.iter().map(|cfg| HostSim::new(*cfg).run()).collect()
 }
@@ -70,7 +84,8 @@ fn assert_identical(golden: &[RunMetrics], candidate: &[RunMetrics], what: &str)
 
 #[test]
 fn fig2_shaped_sweep_is_identical_under_parallelism() {
-    let configs = fig2_shaped();
+    let mut configs = fig2_shaped();
+    configs.extend(basket_edge_shapes());
     let golden = run_sequentially(&configs);
     for jobs in [1, 4] {
         let par = SweepRunner::new(jobs).run_sims(configs.clone());
@@ -156,10 +171,20 @@ fn arena_recycled_runs_match_fresh_runs() {
         .collect();
     assert_identical(&golden, &recycled, "arena-recycled");
     // Re-running the same sequence through the now-warm arena must also
-    // agree — the arena's steady state is as clean as its first use.
+    // agree — the arena's steady state is as clean as its first use — and
+    // the recycled event queue must absorb every run without growing.
     let warm: Vec<RunMetrics> = configs
         .iter()
-        .map(|cfg| HostSim::run_in(*cfg, &mut arena))
+        .enumerate()
+        .map(|(i, cfg)| {
+            let m = HostSim::run_in(*cfg, &mut arena);
+            assert_eq!(
+                arena.last_queue_reallocs(),
+                0,
+                "warm run {i}: the recycled event queue grew"
+            );
+            m
+        })
         .collect();
     assert_identical(&golden, &warm, "warm-arena repeat");
 }
@@ -212,19 +237,28 @@ fn snapshot_restore_pins_bit_identical_metrics_at_any_job_count() {
     // restore → run-to-end equals the uninterrupted run bit for bit, for
     // every protection mode and under the parallel sweep runner at 1 and 8
     // workers.
-    let mut configs = Vec::new();
+    // Each point is (config, snapshot time); the basket shapes snapshot
+    // halfway through their measurement window.
+    let mut points = Vec::new();
     for mode in ProtectionMode::ALL {
         let mut cfg = iperf_config(mode, 2, 64);
         cfg.cores = 2;
         cfg.warmup = 500_000;
         cfg.measure = 2_000_000;
         cfg.aging_factor = 0.0;
-        configs.push(cfg);
+        points.push((cfg, 1_200_000));
+    }
+    for cfg in basket_edge_shapes() {
+        points.push((cfg, cfg.warmup + cfg.measure / 2));
+    }
+    let configs: Vec<SimConfig> = points.iter().map(|&(cfg, _)| cfg).collect();
+    for cfg in &configs {
+        assert_eq!(cfg.snapshot_ineligibility(), None, "{cfg:?}");
     }
     let golden = run_sequentially(&configs);
-    let interrupt = |cfg: SimConfig| {
+    let interrupt = |(cfg, at): (SimConfig, u64)| {
         let mut sim = HostSim::new(cfg);
-        sim.step_until(1_200_000);
+        sim.step_until(at);
         let bytes = sim.snapshot();
         drop(sim);
         HostSim::restore(cfg, &bytes)
@@ -232,7 +266,7 @@ fn snapshot_restore_pins_bit_identical_metrics_at_any_job_count() {
             .run()
     };
     for jobs in [1, 8] {
-        let resumed = SweepRunner::new(jobs).map(configs.clone(), interrupt);
+        let resumed = SweepRunner::new(jobs).map(points.clone(), interrupt);
         assert_identical(&golden, &resumed, &format!("snapshot/restore jobs={jobs}"));
     }
 }
@@ -246,6 +280,7 @@ fn observability_is_invisible_and_rng_free() {
     // which also pins that the plane consumes no RNG (any draw would fork
     // the fault/workload streams and diverge every counter).
     let mut configs = chaos_shaped();
+    configs.extend(basket_edge_shapes());
     // Include the gauge sampler on one cell: the registry rides its
     // cadence, and the sampler series itself must not shift.
     configs[0].probes = ProbeConfig::every(100_000);
