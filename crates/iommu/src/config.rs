@@ -25,14 +25,6 @@ pub struct IommuConfig {
     /// pfn bits (`iotlb_entries / ways` sets), which adds the conflict
     /// misses real hardware exhibits when hot IOVAs alias to one set.
     pub iotlb_assoc: Option<usize>,
-    /// Verify every IOTLB hit against the page table and count hits on
-    /// unmapped IOVAs as safety violations (models what a malicious device
-    /// could reach; the check itself costs nothing in simulated time).
-    pub verify_safety: bool,
-    /// Protection-domain ID this translation unit serves. Single-device
-    /// setups use domain 0; the observability registry keys its per-tenant
-    /// percentiles on it, ready for multi-device topologies.
-    pub domain: u16,
     /// Number of protection domains the unit translates for (PASID-style
     /// multi-device sharing). Each domain owns an isolated IO page table,
     /// and every IOTLB/PTcache entry is tagged with its domain so one
@@ -52,8 +44,6 @@ impl Default for IommuConfig {
             ptcache_l2_entries: 16,
             ptcache_l3_entries: 16,
             iotlb_assoc: None,
-            verify_safety: true,
-            domain: 0,
             domains: 1,
         }
     }
@@ -68,6 +58,5 @@ mod tests {
         let c = IommuConfig::default();
         assert!(c.iotlb_entries >= 32);
         assert!(c.ptcache_l3_entries >= c.ptcache_l1_entries / 2);
-        assert!(c.verify_safety);
     }
 }

@@ -298,7 +298,7 @@ impl Iommu {
         if let Some(e) = self.iotlb.get(dk(d, pfn)) {
             self.stats.iotlb_hits += 1;
             self.dstats[di].iotlb_hits += 1;
-            if self.config.verify_safety && !self.leaf_entry_current(di, e, iova) {
+            if !self.leaf_entry_current(di, e, iova) {
                 // The device reached memory through a stale translation —
                 // exactly what the strict safety property forbids.
                 self.stats.stale_iotlb_hits += 1;
@@ -314,7 +314,7 @@ impl Iommu {
             self.stats.iotlb_hits += 1;
             self.dstats[di].iotlb_hits += 1;
             let pa = e.base.add((iova.pfn() % L4_SPAN_PFNS) << 12);
-            if self.config.verify_safety && !self.huge_entry_current(di, e, iova, pa) {
+            if !self.huge_entry_current(di, e, iova, pa) {
                 self.stats.stale_iotlb_hits += 1;
                 self.dstats[di].stale_iotlb_hits += 1;
             }
@@ -700,8 +700,10 @@ impl Iommu {
         w.usize(self.config.ptcache_l2_entries);
         w.usize(self.config.ptcache_l3_entries);
         w.opt(&self.config.iotlb_assoc, |w, v| w.usize(*v));
-        w.bool(self.config.verify_safety);
-        w.u64(self.config.domain as u64);
+        // Format-4 slots of two retired config knobs: the switch for the
+        // stale-hit check (always on) and an unread domain id (always 0).
+        w.bool(true);
+        w.u64(0);
         let s = &self.stats;
         for v in [
             s.translations,
@@ -759,8 +761,19 @@ impl Iommu {
         let ptcache_l2_entries = r.usize()?;
         let ptcache_l3_entries = r.usize()?;
         let iotlb_assoc = r.opt(|r| r.usize())?;
-        let verify_safety = r.bool()?;
-        let domain = r.u64()? as u16;
+        if !r.bool()? {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "retired stale-check switch word",
+                tag: 0,
+            });
+        }
+        let domain = r.u64()?;
+        if domain != 0 {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "retired domain word",
+                tag: domain,
+            });
+        }
         let stats = IommuStats {
             translations: r.u64()?,
             iotlb_hits: r.u64()?,
@@ -793,8 +806,6 @@ impl Iommu {
             ptcache_l2_entries,
             ptcache_l3_entries,
             iotlb_assoc,
-            verify_safety,
-            domain,
             domains: domains as u16,
         };
         Ok(Self {
@@ -1153,5 +1164,38 @@ mod tests {
         // Restored tagged entries still translate per-domain.
         assert_eq!(back.translate_in(0, i).pa(), Some(pa(5)));
         assert_eq!(back.translate_in(1, i).pa(), Some(pa(6)));
+    }
+
+    #[test]
+    fn images_with_retired_config_words_changed_are_refused() {
+        let mut w = fns_snap::SnapWriter::new();
+        mmu().snap(&mut w);
+        let good = w.finish();
+        // The default cache sizes and the absent associativity come right
+        // before the retired stale-check switch (true) and domain id (0).
+        let sizes: Vec<u8> = [64u64, 32, 16, 16, 16]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .chain([0])
+            .collect();
+        let at = good
+            .windows(sizes.len())
+            .position(|w| w == sizes)
+            .expect("config words in the image")
+            + sizes.len();
+        assert_eq!(good[at..at + 9], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        for (offset, byte) in [(0, 0u8), (1, 3)] {
+            let mut bad = good.clone();
+            bad[at + offset] = byte;
+            fns_snap::reseal(&mut bad);
+            let mut r = fns_snap::SnapReader::new(&bad).unwrap();
+            assert!(
+                matches!(
+                    Iommu::unsnap(&mut r),
+                    Err(fns_snap::SnapError::BadTag { .. })
+                ),
+                "byte {offset} set to {byte} was accepted"
+            );
+        }
     }
 }

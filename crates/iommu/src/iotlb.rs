@@ -17,7 +17,7 @@ use crate::pagetable::PageRef;
 /// alongside the payload (a struct-of-references layout mirroring how the
 /// PTcaches key pages) lets the safety monitor check "is this hit stale?"
 /// with a single generation check and one leaf-slot read instead of a full
-/// 4-level root walk per hit — the dominant cost of `verify_safety` mode.
+/// 4-level root walk per hit, which would dominate the cost of a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbEntry {
     /// The translated physical address.

@@ -102,8 +102,6 @@ fn translate_matches_ground_truth() {
             ptcache_l2_entries: 2,
             ptcache_l3_entries: 4,
             iotlb_assoc: None,
-            verify_safety: true,
-            domain: 0,
             domains: 1,
         });
         let base = 0xF_0000u64;
@@ -172,8 +170,6 @@ fn read_accounting_identity() {
             ptcache_l2_entries: 4,
             ptcache_l3_entries: 4,
             iotlb_assoc: None,
-            verify_safety: true,
-            domain: 0,
             domains: 1,
         });
         let base = 0x50_0000u64;

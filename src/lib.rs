@@ -14,7 +14,6 @@ pub use fns_mem as mem;
 pub use fns_net as net;
 pub use fns_nic as nic;
 pub use fns_oracle as oracle;
-pub use fns_pcie as pcie;
 pub use fns_sim as sim;
 pub use fns_snap as snap;
 pub use fns_trace as trace;
