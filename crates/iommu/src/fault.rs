@@ -2,10 +2,12 @@
 //!
 //! Real IOMMUs surface abnormal conditions as recoverable events — DMAR
 //! translation faults for accesses to unmapped IOVAs, invalidation-queue
-//! completion timeouts (`VT-d` ITE/IQE errors) for stuck queues. This
-//! module models both: [`IommuFault`] is the typed error the driver layers
-//! propagate, and [`InvalidationQueue::execute_with`] runs a batch under a
-//! [`FaultPlane`] with the paper-faithful recovery ladder:
+//! completion timeouts (`VT-d` ITE/IQE errors) for stuck queues. A
+//! translation fault is the `Translation::Fault` result of
+//! [`Iommu::translate`]. This module models the rest: [`IommuFault`] is the
+//! typed error the driver layers propagate, and
+//! [`InvalidationQueue::execute_with`] runs a batch under a [`FaultPlane`]
+//! with the paper-faithful recovery ladder:
 //!
 //! 1. bounded retry with exponential backoff while the queue stalls,
 //! 2. graceful degradation from a batched range invalidation to per-page
@@ -15,7 +17,7 @@
 //! strict safety property never depends on the happy path.
 
 use fns_faults::{FaultKind, FaultPlane};
-use fns_iova::types::{Iova, IovaRange};
+use fns_iova::types::IovaRange;
 use fns_sim::time::Nanos;
 
 use crate::invalidation::{InvalidationQueue, InvalidationRequest};
@@ -25,9 +27,6 @@ use crate::pagetable::PtError;
 /// Typed faults raised by the IOMMU model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IommuFault {
-    /// A DMA access faulted: the IOVA has no live translation. `reads` is
-    /// the number of page-table reads spent discovering that.
-    Translation { iova: Iova, reads: u32 },
     /// The invalidation queue failed to complete within the retry budget.
     InvalidationTimeout { retries: u32 },
     /// A page-table structural error (double map, unmap of unmapped).
@@ -37,9 +36,6 @@ pub enum IommuFault {
 impl std::fmt::Display for IommuFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IommuFault::Translation { iova, reads } => {
-                write!(f, "DMA translation fault at {iova} after {reads} reads")
-            }
             IommuFault::InvalidationTimeout { retries } => {
                 write!(f, "invalidation queue timeout after {retries} retries")
             }
@@ -146,6 +142,7 @@ mod tests {
     use crate::config::IommuConfig;
     use crate::iommu::{InvalidationScope, Translation};
     use fns_faults::FaultConfig;
+    use fns_iova::types::Iova;
     use fns_mem::addr::PhysAddr;
     use fns_sim::rng::SimRng;
 
@@ -237,11 +234,6 @@ mod tests {
 
     #[test]
     fn fault_display_and_source() {
-        let f = IommuFault::Translation {
-            iova: Iova::from_pfn(7),
-            reads: 4,
-        };
-        assert!(f.to_string().contains("translation fault"));
         let p: IommuFault = PtError::NotMapped(9).into();
         assert!(std::error::Error::source(&p).is_some());
         let t = IommuFault::InvalidationTimeout { retries: 4 };

@@ -31,5 +31,5 @@ pub mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, MeanTracker, ReuseDistance};
+pub use stats::{Histogram, ReuseDistance};
 pub use time::{Bandwidth, Nanos};

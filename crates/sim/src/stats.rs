@@ -174,71 +174,6 @@ impl Histogram {
     }
 }
 
-/// Running mean/total tracker for per-page rates (e.g. misses per page).
-///
-/// # Examples
-///
-/// ```
-/// use fns_sim::stats::MeanTracker;
-///
-/// let mut m = MeanTracker::new();
-/// m.add(2.0);
-/// m.add(4.0);
-/// assert_eq!(m.mean(), 3.0);
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeanTracker {
-    sum: f64,
-    count: u64,
-}
-
-impl MeanTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, v: f64) {
-        self.sum += v;
-        self.count += 1;
-    }
-
-    /// Mean of all observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Serializes the tracker for checkpointing (sum travels as IEEE bits).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.f64(self.sum);
-        w.u64(self.count);
-    }
-
-    /// Rebuilds a tracker captured by [`MeanTracker::snap`].
-    pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(Self {
-            sum: r.f64()?,
-            count: r.u64()?,
-        })
-    }
-}
-
 /// Reuse-distance tracker over an access stream of keys.
 ///
 /// For each access, records the number of *distinct other keys* touched since
@@ -550,18 +485,6 @@ mod tests {
         h.record(20);
         h.record(60);
         assert_eq!(h.mean(), 30.0);
-    }
-
-    #[test]
-    fn mean_tracker() {
-        let mut m = MeanTracker::new();
-        assert_eq!(m.mean(), 0.0);
-        m.add(1.0);
-        m.add(2.0);
-        m.add(3.0);
-        assert_eq!(m.mean(), 2.0);
-        assert_eq!(m.sum(), 6.0);
-        assert_eq!(m.count(), 3);
     }
 
     #[test]
