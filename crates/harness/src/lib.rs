@@ -39,8 +39,8 @@ pub mod soak;
 pub use mbt::{CorpusCase, MbtConfig, Op};
 pub use scenarios::{scenario_config, scenario_names, Scenario, SCENARIOS};
 pub use soak::{
-    bisect_violation, run_soak, run_soak_sim, shrink_violation_window, soak_config, soak_names,
-    Checkpoint, SoakOptions, SoakOutcome, SoakScenario, ViolationWindow, SOAK_SCENARIOS,
+    bisect_violation, run_soak, shrink_violation_window, soak_config, soak_names, Checkpoint,
+    SoakOutcome, SoakScenario, ViolationWindow, SOAK_SCENARIOS,
 };
 
 /// Executes independent simulation runs on a thread pool, returning

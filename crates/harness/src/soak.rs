@@ -14,7 +14,7 @@
 //!
 //! When the safety oracle flags a violation deep into a soak, rerunning
 //! from t=0 to debug it is exactly the cost the checkpoints exist to
-//! avoid: [`bisect_violation`] replays each retained checkpoint forward
+//! avoid: [`bisect_violation`] replays each kept checkpoint forward
 //! one interval to find the window where the violation count first grows,
 //! and [`shrink_violation_window`] then bisects inside that interval down
 //! to a replay a few microseconds long. The surviving
@@ -22,8 +22,6 @@
 //! shrinker in [`crate::mbt`]: a minimal deterministic reproducer —
 //! resumable via `fns-sim --resume` — where the model-level plane shrinks
 //! op traces instead.
-
-use std::collections::VecDeque;
 
 use fns_core::{HostSim, ProtectionMode, RunMetrics, SimConfig, WatchdogConfig};
 use fns_sim::time::{Nanos, MICROS, MILLIS};
@@ -129,26 +127,8 @@ pub fn soak_config(name: &str, mode: ProtectionMode) -> Option<SimConfig> {
         .map(|s| (s.build)(mode))
 }
 
-/// Checkpointing policy for [`run_soak`].
-#[derive(Debug, Clone, Copy)]
-pub struct SoakOptions {
-    /// Checkpoint interval in sim nanoseconds; 0 disables checkpointing.
-    pub snapshot_every: Nanos,
-    /// Retained-checkpoint ring size (oldest dropped first; min 1).
-    pub keep: usize,
-}
-
-impl Default for SoakOptions {
-    fn default() -> Self {
-        Self {
-            snapshot_every: 0,
-            keep: 4,
-        }
-    }
-}
-
-/// One retained checkpoint: the full serialized engine state at a
-/// checkpoint boundary.
+/// One checkpoint: the full serialized engine state at a checkpoint
+/// boundary.
 pub struct Checkpoint {
     /// Sim time of the boundary this checkpoint was taken at.
     pub at: Nanos,
@@ -162,80 +142,68 @@ pub struct SoakOutcome {
     /// Final run metrics. Bit-identical to an uncheckpointed run of the
     /// same config (checkpointing never perturbs the simulation).
     pub metrics: RunMetrics,
-    /// Retained checkpoints, oldest first. On a watchdog abort the last
-    /// entry is the state at the abort boundary — the replayable artifact.
-    pub checkpoints: Vec<Checkpoint>,
-    /// Boundary at which the degradation watchdog aborted the run, if it
-    /// did. The run stops there; `metrics` covers only the completed part.
-    pub aborted_at: Option<Nanos>,
+    /// If the degradation watchdog aborted the run: the state at the first
+    /// checkpoint boundary past the abort, where the run stopped — the
+    /// replayable artifact. `metrics` then covers only the completed part.
+    pub aborted: Option<Checkpoint>,
 }
 
-/// Runs `cfg` to completion (or watchdog abort), checkpointing at every
-/// `opts.snapshot_every` boundary.
+/// Runs `sim` to its end time (or a watchdog abort), handing
+/// `on_checkpoint` the snapshot taken at every `snapshot_every` boundary
+/// before the end (none when `snapshot_every` is 0). A restored sim starts
+/// mid-run and keeps to the grid of the run it was carved out of. The
+/// caller decides what to keep: a CLI writes each checkpoint to disk as it
+/// comes, so a killed run loses at most one interval.
 ///
 /// Errs — with the named reason, never silently dropping state — when
 /// checkpointing is requested for a config that cannot round-trip
 /// through a snapshot (see `SimConfig::snapshot_ineligibility`).
-pub fn run_soak(cfg: SimConfig, opts: &SoakOptions) -> Result<SoakOutcome, &'static str> {
-    run_soak_sim(HostSim::new(cfg), opts)
-}
-
-/// [`run_soak`] over an already-built (possibly restored, possibly
-/// sabotaged-for-testing) simulation.
-pub fn run_soak_sim(mut sim: HostSim, opts: &SoakOptions) -> Result<SoakOutcome, &'static str> {
-    if opts.snapshot_every > 0 {
+pub fn run_soak(
+    mut sim: HostSim,
+    snapshot_every: Nanos,
+    mut on_checkpoint: impl FnMut(Checkpoint),
+) -> Result<SoakOutcome, &'static str> {
+    if snapshot_every > 0 {
         if let Some(reason) = sim.config().snapshot_ineligibility() {
             return Err(reason);
         }
     }
     let end = sim.config().end_time();
-    let keep = opts.keep.max(1);
-    let mut checkpoints: VecDeque<Checkpoint> = VecDeque::new();
-    let mut aborted_at = None;
-    // A restored sim starts mid-run; keep its boundaries aligned to the
-    // original grid by stepping from the next multiple of the interval.
+    let mut aborted = None;
     let mut t = sim.now();
     loop {
         let next = t
-            .checked_div(opts.snapshot_every)
-            .map_or(end, |n| ((n + 1) * opts.snapshot_every).min(end));
+            .checked_div(snapshot_every)
+            .map_or(end, |n| ((n + 1) * snapshot_every).min(end));
         sim.step_until(next);
         t = next;
         if sim.watchdog_aborted() {
             // Checkpoint-then-abort: the state at the first boundary past
             // the abort is the artifact a human replays.
-            checkpoints.push_back(Checkpoint {
+            aborted = Some(Checkpoint {
                 at: t,
                 bytes: sim.snapshot(),
             });
-            while checkpoints.len() > keep {
-                checkpoints.pop_front();
-            }
-            aborted_at = Some(t);
             break;
         }
         if t >= end {
             break;
         }
-        checkpoints.push_back(Checkpoint {
+        on_checkpoint(Checkpoint {
             at: t,
             bytes: sim.snapshot(),
         });
-        while checkpoints.len() > keep {
-            checkpoints.pop_front();
-        }
     }
     Ok(SoakOutcome {
         metrics: sim.finish(),
-        checkpoints: checkpoints.into(),
-        aborted_at,
+        aborted,
     })
 }
 
 /// A replay window localizing a mid-soak oracle violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViolationWindow {
-    /// Index into the retained checkpoint ring the replay starts from.
+    /// Index into the checkpoint slice the replay starts from.
     pub index: usize,
     /// Replay start (the checkpoint's boundary).
     pub from: Nanos,
@@ -244,12 +212,12 @@ pub struct ViolationWindow {
 }
 
 /// Finds the first checkpoint interval in which the safety oracle's
-/// violation count grows, by restoring each retained checkpoint and
+/// violation count grows, by restoring each checkpoint (oldest first) and
 /// replaying it one interval forward.
 ///
 /// Returns `None` when no interval reproduces growth — including when the
-/// violation predates the oldest retained checkpoint (its count is
-/// already baked into every restore; retain a deeper ring and rerun).
+/// violation predates the oldest checkpoint given (its count is already
+/// baked into every restore; keep older checkpoints and rerun).
 pub fn bisect_violation(
     cfg: SimConfig,
     checkpoints: &[Checkpoint],
@@ -350,19 +318,19 @@ mod tests {
     fn checkpointing_soak_matches_the_uninterrupted_run() {
         let cfg = tiny_soak(ProtectionMode::FastAndSafe);
         let golden = HostSim::new(cfg).run();
-        let outcome = run_soak(
-            cfg,
-            &SoakOptions {
-                snapshot_every: 400_000,
-                keep: 3,
-            },
-        )
-        .expect("eligible config");
-        assert_eq!(outcome.aborted_at, None);
-        assert_eq!(outcome.checkpoints.len(), 3);
+        let mut checkpoints = Vec::new();
+        let outcome = run_soak(HostSim::new(cfg), 400_000, |ck| checkpoints.push(ck))
+            .expect("eligible config");
+        assert!(outcome.aborted.is_none());
+        // Every 400 us boundary before the 2.5 ms end.
+        let at: Vec<Nanos> = checkpoints.iter().map(|ck| ck.at).collect();
+        assert_eq!(
+            at,
+            [400_000, 800_000, 1_200_000, 1_600_000, 2_000_000, 2_400_000]
+        );
         assert_eq!(golden, outcome.metrics, "checkpointing perturbed the run");
-        // And every retained checkpoint resumes to the same end state.
-        for ck in &outcome.checkpoints {
+        // And every checkpoint resumes to the same end state.
+        for ck in &checkpoints {
             let resumed = HostSim::restore(cfg, &ck.bytes)
                 .expect("own checkpoint restores")
                 .run();
@@ -375,18 +343,12 @@ mod tests {
         let mut cfg = tiny_soak(ProtectionMode::FastAndSafe);
         cfg.audit.enabled = true;
         cfg.audit.fatal = true;
-        let err = run_soak(
-            cfg,
-            &SoakOptions {
-                snapshot_every: 400_000,
-                keep: 3,
-            },
-        )
-        .err()
-        .expect("fatal audit must be rejected");
+        let err = run_soak(HostSim::new(cfg), 400_000, |_| {})
+            .err()
+            .expect("fatal audit must be rejected");
         assert!(err.contains("audit.fatal"), "unnamed reason: {err}");
         // Without checkpointing the same config is fine to soak.
-        assert!(run_soak(cfg, &SoakOptions::default()).is_ok());
+        assert!(run_soak(HostSim::new(cfg), 0, |_| {}).is_ok());
     }
 
     #[test]
@@ -394,22 +356,17 @@ mod tests {
         let mut cfg = tiny_soak(ProtectionMode::LinuxDeferred);
         cfg.watchdog.storm_invalidations = 1; // every interval is a "storm"
         cfg.watchdog.abort_after_degraded = 2;
-        let outcome = run_soak(
-            cfg,
-            &SoakOptions {
-                snapshot_every: 400_000,
-                keep: 2,
-            },
-        )
-        .expect("eligible config");
-        let aborted_at = outcome.aborted_at.expect("watchdog must abort");
-        assert!(aborted_at < cfg.end_time());
+        let mut checkpoints = Vec::new();
+        let outcome = run_soak(HostSim::new(cfg), 400_000, |ck| checkpoints.push(ck))
+            .expect("eligible config");
+        let artifact = outcome.aborted.expect("watchdog must abort");
+        assert!(artifact.at < cfg.end_time());
         assert!(outcome.metrics.watchdog.aborted);
-        let artifact = outcome.checkpoints.last().expect("abort checkpoint");
-        assert_eq!(artifact.at, aborted_at);
+        // Regular checkpoints stop before the abort boundary.
+        assert!(checkpoints.iter().all(|ck| ck.at < artifact.at));
         // The artifact replays: restore it and step forward.
         let mut sim = HostSim::restore(cfg, &artifact.bytes).expect("artifact restores");
-        sim.step_until(aborted_at + 100_000);
+        sim.step_until(artifact.at + 100_000);
     }
 
     #[test]
@@ -421,14 +378,8 @@ mod tests {
         // first checkpoint: drop one range invalidation mid-soak (the
         // 500th submission lands ~1.8 ms in for this config).
         sim.set_sabotage(Sabotage::SkipRangeInvalidation { nth: 500 });
-        let outcome = run_soak_sim(
-            sim,
-            &SoakOptions {
-                snapshot_every: 250_000,
-                keep: 16,
-            },
-        )
-        .expect("eligible config");
+        let mut checkpoints = Vec::new();
+        let outcome = run_soak(sim, 250_000, |ck| checkpoints.push(ck)).expect("eligible config");
         assert!(
             outcome.metrics.audit.violations > 0,
             "sabotage produced no violation; tune nth"
@@ -436,15 +387,14 @@ mod tests {
         // The restored runs re-execute the same sabotage (it serializes
         // with the driver), so replaying checkpoint intervals localizes
         // the first violation without rerunning from t=0.
-        let window = bisect_violation(cfg, &outcome.checkpoints, cfg.end_time())
-            .expect("violation postdates the oldest retained checkpoint");
-        let shrunk =
-            shrink_violation_window(cfg, &outcome.checkpoints[window.index], window, 1_000);
+        let window = bisect_violation(cfg, &checkpoints, cfg.end_time())
+            .expect("violation postdates the oldest checkpoint");
+        let shrunk = shrink_violation_window(cfg, &checkpoints[window.index], window, 1_000);
         assert!(shrunk.to <= window.to);
         assert!(shrunk.to > shrunk.from);
         // The shrunk window still reproduces from the checkpoint.
-        let mut sim = HostSim::restore(cfg, &outcome.checkpoints[window.index].bytes)
-            .expect("checkpoint restores");
+        let mut sim =
+            HostSim::restore(cfg, &checkpoints[window.index].bytes).expect("checkpoint restores");
         let before = sim.audit_violations();
         sim.step_until(shrunk.to);
         assert!(sim.audit_violations() > before);

@@ -72,7 +72,7 @@ use fns::apps::{
 };
 use fns::core::{HostSim, ProtectionMode, RunMetrics, Sabotage, SimConfig};
 use fns::faults::{FaultConfig, FaultKind};
-use fns::harness::{soak_config, SweepRunner, SCENARIOS, SOAK_SCENARIOS};
+use fns::harness::{run_soak, soak_config, SweepRunner, SCENARIOS, SOAK_SCENARIOS};
 use fns::oracle::AuditConfig;
 use fns::trace::{
     chrome_trace_json, chrome_trace_json_with, JsonWriter, ObserveConfig, ProbeConfig, RegMetric,
@@ -473,10 +473,10 @@ fn write_bytes_or_die(path: &str, contents: &[u8]) {
 }
 
 /// The checkpointed single-run path behind `--soak`, `--snapshot-every`
-/// and `--resume`: steps the simulation between checkpoint boundaries,
-/// writes each checkpoint to disk as soon as it is taken (so a killed run
-/// loses at most one interval), and converts a degradation-watchdog abort
-/// into a final replayable artifact. Returns the metrics and whether the
+/// and `--resume`: runs the simulation through `run_soak`, writing each
+/// checkpoint to disk as soon as it is taken (so a killed run loses at
+/// most one interval), and writes a degradation-watchdog abort's state as
+/// a final replayable artifact. Returns the metrics and whether the
 /// watchdog aborted.
 fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
     let cfg = if args.soak.is_some() {
@@ -484,13 +484,16 @@ fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
     } else {
         build_config(args, mode)
     };
+    let refuse_checkpoints = |reason: &str| -> ! {
+        eprintln!("fns-sim: this configuration cannot be checkpointed: {reason}");
+        std::process::exit(2);
+    };
     if args.snapshot_every_ms > 0 || args.resume.is_some() {
         if let Some(reason) = cfg.snapshot_ineligibility() {
-            eprintln!("fns-sim: this configuration cannot be checkpointed: {reason}");
-            std::process::exit(2);
+            refuse_checkpoints(reason);
         }
     }
-    let mut sim = match &args.resume {
+    let sim = match &args.resume {
         Some(path) => {
             let bytes = std::fs::read(path).unwrap_or_else(|e| {
                 eprintln!("fns-sim: cannot read {path}: {e}");
@@ -508,37 +511,21 @@ fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
         }
         None => HostSim::new(cfg),
     };
-    let end = cfg.end_time();
-    let every = args.snapshot_every_ms * 1_000_000;
-    let mut aborted = false;
-    // A resumed run re-aligns to the original checkpoint grid, so its
-    // boundaries (and files) match the run it was carved out of.
-    let mut t = sim.now();
-    loop {
-        let next = t
-            .checked_div(every)
-            .map_or(end, |n| ((n + 1) * every).min(end));
-        sim.step_until(next);
-        t = next;
-        if sim.watchdog_aborted() {
-            let path = checkpoint_path(&args.snapshot_prefix, t);
-            write_bytes_or_die(&path, &sim.snapshot());
-            eprintln!(
-                "fns-sim: watchdog aborted the run at t={t} ns; replayable artifact -> {path}"
-            );
-            aborted = true;
-            break;
-        }
-        if t >= end {
-            break;
-        }
-        if every > 0 {
-            let path = checkpoint_path(&args.snapshot_prefix, t);
-            write_bytes_or_die(&path, &sim.snapshot());
-            println!("checkpoint: t={t} ns -> {path}");
-        }
+    let outcome = run_soak(sim, args.snapshot_every_ms * 1_000_000, |ck| {
+        let path = checkpoint_path(&args.snapshot_prefix, ck.at);
+        write_bytes_or_die(&path, &ck.bytes);
+        println!("checkpoint: t={} ns -> {path}", ck.at);
+    })
+    .unwrap_or_else(|reason| refuse_checkpoints(reason));
+    if let Some(ck) = &outcome.aborted {
+        let path = checkpoint_path(&args.snapshot_prefix, ck.at);
+        write_bytes_or_die(&path, &ck.bytes);
+        eprintln!(
+            "fns-sim: watchdog aborted the run at t={} ns; replayable artifact -> {path}",
+            ck.at
+        );
     }
-    (sim.finish(), aborted)
+    (outcome.metrics, outcome.aborted.is_some())
 }
 
 /// Output path for one mode of a (possibly multi-mode) sweep: the exact
