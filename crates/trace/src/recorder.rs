@@ -18,8 +18,10 @@ pub const DEFAULT_FLIGHT_CAPACITY: u32 = 4096;
 pub const NO_FOCUS: u64 = u64::MAX;
 
 /// Arming knobs for the observability plane. Lives in `SimConfig`
-/// (`Copy`, total `Debug` — it joins the snapshot config fingerprint
-/// automatically). Capacities are the `DEFAULT_*` constants of each layer.
+/// (`Copy`); the snapshot config fingerprint writes it with its derived
+/// `Debug`, so a field added here changes every checkpoint's fingerprint
+/// (the pinned fingerprint table then fails until the field is handled).
+/// Capacities are the `DEFAULT_*` constants of each layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObserveConfig {
     /// Record per-page provenance timelines.
