@@ -44,8 +44,8 @@ const SOAK_MEASURE: Nanos = 10_000 * MILLIS;
 
 /// Watchdog defaults for soak runs: check every millisecond, relieve a
 /// wipe backlog past 256 epochs, flag an invalidation storm past 200k
-/// invalidations per check interval, never abort (the CLI and tests opt
-/// into `abort_after_degraded`).
+/// invalidations per check interval, never abort (only unit tests
+/// set `abort_after_degraded`; no `fns-sim` flag does).
 fn soak_watchdog() -> WatchdogConfig {
     WatchdogConfig {
         enabled: true,

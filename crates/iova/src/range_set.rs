@@ -11,6 +11,13 @@
 //! Invariant (checked by [`RangeSet::check_invariants`]): ranges are
 //! non-inverted and pairwise disjoint, so ascending `lo` order is also
 //! ascending `hi` order.
+//!
+//! A restore does not insert range by range. The allocator snapshot is
+//! the ascending range list, which the allocator's `unsnap` checks in one
+//! pass (each range non-inverted and starting above the previous one's
+//! end) before [`RangeSet::from_ascending`] bulk-builds the tree from it
+//! in O(n). The bulk-built tree has fuller nodes than one grown by
+//! inserts, but it holds the same ranges, so every query answers the same.
 
 use std::collections::BTreeMap;
 
@@ -58,6 +65,21 @@ impl RangeSet {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Builds the set from ranges that are non-inverted, ascending and
+    /// pairwise disjoint (`prev.hi < lo`); the caller has checked this.
+    /// `std` builds a `BTreeMap` from sorted input in one linear pass.
+    pub(crate) fn from_ascending(ranges: Vec<(u64, u64)>) -> Self {
+        debug_assert!(
+            ranges
+                .windows(2)
+                .all(|w| w[0].0 <= w[0].1 && w[0].1 < w[1].0),
+            "ranges not ascending and disjoint"
+        );
+        Self {
+            map: ranges.into_iter().collect(),
+        }
     }
 
     /// Number of ranges in the set.

@@ -59,7 +59,15 @@ impl RbTreeAllocator {
 
     /// Creates an allocator whose highest allocatable pfn is `limit_pfn - 1`
     /// (i.e. `limit_pfn` is one past the top).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limit_pfn` lies beyond the 48-bit IOVA space.
     pub fn with_limit(limit_pfn: u64) -> Self {
+        assert!(
+            limit_pfn <= IOVA_SPACE_TOP >> PAGE_SHIFT,
+            "IOVA limit pfn {limit_pfn:#x} exceeds the address space"
+        );
         Self {
             ranges: RangeSet::new(),
             limit_pfn,
@@ -186,7 +194,7 @@ impl RbTreeAllocator {
     }
 
     /// Serializes the full allocator state for checkpointing. The ranges
-    /// travel in ascending order and are re-inserted on restore, while
+    /// travel in ascending order and are bulk-loaded on restore, while
     /// `search_start` — which steers future allocations — travels verbatim.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.seq(self.ranges.len());
@@ -201,28 +209,49 @@ impl RbTreeAllocator {
     }
 
     /// Rebuilds an allocator captured by [`RbTreeAllocator::snap`].
+    ///
+    /// The range list must be ascending and disjoint, as `snap` writes it.
+    /// One pass over it checks that each range is non-inverted and starts
+    /// above the previous one's end, then [`RangeSet::from_ascending`]
+    /// builds the tree in O(n). Ranges must also end below `limit_pfn`,
+    /// which must lie within the IOVA space, and `search_start` must not
+    /// exceed it, so a restored allocator only hands out valid IOVAs.
+    /// Anything else is refused with [`SnapError::BadTag`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
         let n = r.seq()?;
-        let mut ranges = RangeSet::new();
+        // Each range takes 16 bytes, which bounds a corrupt count's
+        // preallocation by the image's size.
+        let mut list = Vec::with_capacity(n.min(r.remaining() / 16));
+        let mut prev_hi = None;
         for _ in 0..n {
             let lo = r.u64()?;
             let hi = r.u64()?;
             if lo > hi {
-                return Err(SnapError::BadTag {
-                    what: "inverted iova range",
-                    tag: lo,
-                });
+                return Err(bad_tag("inverted iova range", lo));
             }
-            ranges.insert(lo, hi).map_err(|_| SnapError::BadTag {
-                what: "overlapping iova range",
-                tag: lo,
-            })?;
+            if prev_hi.is_some_and(|p| p >= lo) {
+                return Err(bad_tag("unsorted or overlapping iova range", lo));
+            }
+            prev_hi = Some(hi);
+            list.push((lo, hi));
+        }
+        let limit_pfn = r.u64()?;
+        if limit_pfn > IOVA_SPACE_TOP >> PAGE_SHIFT {
+            return Err(bad_tag("iova limit beyond the address space", limit_pfn));
+        }
+        if let Some(hi) = prev_hi.filter(|&hi| hi >= limit_pfn) {
+            return Err(bad_tag("iova range at or above the limit", hi));
+        }
+        let align_to_size = r.bool()?;
+        let search_start = r.u64()?;
+        if search_start > limit_pfn {
+            return Err(bad_tag("iova search start above the limit", search_start));
         }
         Ok(Self {
-            ranges,
-            limit_pfn: r.u64()?,
-            align_to_size: r.bool()?,
-            search_start: r.u64()?,
+            ranges: RangeSet::from_ascending(list),
+            limit_pfn,
+            align_to_size,
+            search_start,
             stats: unsnap_alloc_stats(r)?,
         })
     }
@@ -242,6 +271,10 @@ impl RbTreeAllocator {
         self.stats.tree_frees += 1;
         Ok(())
     }
+}
+
+fn bad_tag(what: &'static str, tag: u64) -> SnapError {
+    SnapError::BadTag { what, tag }
 }
 
 /// Serializes an [`AllocStats`] (shared by both allocators' snapshots).

@@ -28,7 +28,9 @@ pub struct MemoryModel {
     /// Per-read latency of an IOMMU page-table walk read at low load, in ns.
     /// This is the paper's fitted `lm`.
     pub walk_read_base_ns: Nanos,
-    /// Unloaded CPU load-to-use latency for a DRAM read, in ns.
+    /// Unloaded CPU load-to-use latency for a DRAM read, in ns. No model
+    /// reads it; it stays because the format-4 config fingerprint writes
+    /// it and it differs by preset.
     pub cpu_read_ns: Nanos,
     /// Utilization (0..1) above which queueing inflates latency.
     pub knee_utilization: f64,
@@ -81,11 +83,6 @@ impl MemoryModel {
         (self.walk_read_base_ns as f64 * self.inflation(utilization)).round() as Nanos
     }
 
-    /// Latency of one CPU DRAM read at the given utilization.
-    pub fn cpu_read_latency_ns(&self, utilization: f64) -> Nanos {
-        (self.cpu_read_ns as f64 * self.inflation(utilization)).round() as Nanos
-    }
-
     /// Bandwidth utilization implied by moving `bytes_per_sec`.
     pub fn utilization(&self, bytes_per_sec: f64) -> f64 {
         (bytes_per_sec / self.bandwidth_bytes_per_sec as f64).clamp(0.0, 1.0)
@@ -120,13 +117,6 @@ mod tests {
         assert_eq!(m.walk_read_ns(7.0), m.walk_read_ns(1.0));
         assert_eq!(m.utilization(1e15), 1.0);
         assert_eq!(m.utilization(0.0), 0.0);
-    }
-
-    #[test]
-    fn cpu_read_scales_too() {
-        let m = MemoryModel::cascade_lake();
-        assert_eq!(m.cpu_read_latency_ns(0.0), 90);
-        assert!(m.cpu_read_latency_ns(1.0) > 200);
     }
 
     #[test]

@@ -61,8 +61,7 @@
 //! (`--snapshot-prefix`, default `fns-checkpoint`); `--resume PATH`
 //! restores one and continues — the final metrics are bit-identical to
 //! the uninterrupted run, provided the same configuration flags are
-//! passed (a fingerprint in the snapshot enforces this). A watchdog
-//! abort writes a final replayable artifact and exits with status 3.
+//! passed (a fingerprint in the snapshot enforces this).
 //! Configurations that cannot be checkpointed (e.g. `--audit-fatal`) are
 //! rejected with the named reason, never silently dropped.
 
@@ -475,10 +474,8 @@ fn write_bytes_or_die(path: &str, contents: &[u8]) {
 /// The checkpointed single-run path behind `--soak`, `--snapshot-every`
 /// and `--resume`: runs the simulation through `run_soak`, writing each
 /// checkpoint to disk as soon as it is taken (so a killed run loses at
-/// most one interval), and writes a degradation-watchdog abort's state as
-/// a final replayable artifact. Returns the metrics and whether the
-/// watchdog aborted.
-fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
+/// most one interval). Returns the metrics.
+fn run_checkpointed(args: &Args, mode: ProtectionMode) -> RunMetrics {
     let cfg = if args.soak.is_some() {
         build_soak_config(args, mode)
     } else {
@@ -517,15 +514,7 @@ fn run_checkpointed(args: &Args, mode: ProtectionMode) -> (RunMetrics, bool) {
         println!("checkpoint: t={} ns -> {path}", ck.at);
     })
     .unwrap_or_else(|reason| refuse_checkpoints(reason));
-    if let Some(ck) = &outcome.aborted {
-        let path = checkpoint_path(&args.snapshot_prefix, ck.at);
-        write_bytes_or_die(&path, &ck.bytes);
-        eprintln!(
-            "fns-sim: watchdog aborted the run at t={} ns; replayable artifact -> {path}",
-            ck.at
-        );
-    }
-    (outcome.metrics, outcome.aborted.is_some())
+    outcome.metrics
 }
 
 /// Output path for one mode of a (possibly multi-mode) sweep: the exact
@@ -706,7 +695,6 @@ fn main() {
     }
     let modes = args.modes.clone();
     let checkpointed = args.soak.is_some() || args.snapshot_every_ms > 0 || args.resume.is_some();
-    let mut aborted = false;
     let results = if checkpointed {
         if modes.len() > 1 {
             eprintln!(
@@ -716,9 +704,7 @@ fn main() {
             );
             std::process::exit(2);
         }
-        let (m, a) = run_checkpointed(&args, modes[0]);
-        aborted = a;
-        vec![m]
+        vec![run_checkpointed(&args, modes[0])]
     } else if args.sabotage_skip_inv.is_some() || (args.audit_fatal && args.flight_path.is_some()) {
         // Instrumented single-run path: a seeded sabotage needs a hand on
         // the driver before the run, and a fatal audit with the flight
@@ -897,8 +883,5 @@ fn main() {
         }
         eprintln!("fns-sim: safety audit found {audit_violations} violation(s)");
         std::process::exit(1);
-    }
-    if aborted {
-        std::process::exit(3);
     }
 }
