@@ -8,14 +8,15 @@
 //! Each figure runs `FNS_BENCH_REPEATS` (default 5) interleaved rounds: a
 //! bare sequential sweep, then the same sweep with every observability
 //! tier armed. Every sweep starts from a fresh `RunArena`, as a figure
-//! binary's does, and times `HostSim::new_in` apart from `run_salvaging`.
+//! binary's does, and times `HostSim::new_in` apart from `HostSim::run`.
 //! The JSON reports medians over the rounds, the spread between the
 //! quartiles of the bare rounds, and the armed overhead.
 //!
-//! Times are this thread's CPU time, read from
-//! `/proc/thread-self/schedstat`, so time the scheduler hands to other
-//! processes does not count. Where that file cannot be read the binary
-//! falls back to wall clock; the JSON's `timer` field says which was used.
+//! Times are this thread's CPU time, read with
+//! `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`, so time the scheduler hands to
+//! other processes does not count. Where that clock cannot be read the
+//! binary falls back to wall clock; the JSON's `timer` field says which was
+//! used.
 //!
 //! The binary only measures. The basket's correctness properties are
 //! pinned by `tests/golden_determinism.rs`, and the CI perf gate compares
@@ -81,9 +82,8 @@ fn basket() -> Vec<(&'static str, Vec<SimConfig>)> {
     figures
 }
 
-/// Thread CPU time from `/proc/thread-self/schedstat`, or wall clock where
-/// that file is missing or reads all zeros (scheduler statistics compiled
-/// out of the kernel).
+/// Thread CPU time from `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`, or wall
+/// clock where that clock cannot be read.
 struct Clock {
     thread_cpu: bool,
     origin: Instant,
@@ -92,9 +92,7 @@ struct Clock {
 impl Clock {
     fn new() -> Self {
         Clock {
-            // A running thread has been scheduled in at least once, but its
-            // CPU time may not have been accounted yet: test the count.
-            thread_cpu: schedstat().is_some_and(|(_, timeslices)| timeslices > 0),
+            thread_cpu: thread_cpu_ns().is_some(),
             origin: Instant::now(),
         }
     }
@@ -109,21 +107,45 @@ impl Clock {
 
     fn now_ns(&self) -> u64 {
         if self.thread_cpu {
-            schedstat().expect("schedstat was readable at start-up").0
+            thread_cpu_ns().expect("the thread CPU clock was readable at start-up")
         } else {
             self.origin.elapsed().as_nanos() as u64
         }
     }
 }
 
-/// This thread's `(nanoseconds on a CPU, timeslices run)`, the first and
-/// third fields of `/proc/thread-self/schedstat`.
-fn schedstat() -> Option<(u64, u64)> {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let mut fields = stat.split_whitespace().map(|f| f.parse::<u64>().ok());
-    let on_cpu_ns = fields.next()??;
-    let timeslices = fields.nth(1)??;
-    Some((on_cpu_ns, timeslices))
+/// This thread's CPU time in nanoseconds, from libc's `clock_gettime`
+/// (std links libc on Linux). Unlike `/proc/thread-self/schedstat`, which
+/// advances once per scheduler tick (4 ms at 250 Hz), this clock reads the
+/// running thread's accumulated time directly.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn thread_cpu_ns() -> Option<u64> {
+    use std::ffi::c_int;
+
+    /// `struct timespec` on 64-bit Linux: `time_t` and `long` are 64-bit.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` only writes one `struct timespec` through
+    // `tp`, which points to a live, aligned local of that layout, and
+    // returns nonzero (writing nothing) for a clock it does not know.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn thread_cpu_ns() -> Option<u64> {
+    None
 }
 
 /// One timed sweep: construction and event-loop time summed over its runs.
@@ -142,7 +164,7 @@ fn sweep(clock: &Clock, configs: &[SimConfig]) -> Sweep {
         let t0 = clock.now_ns();
         let sim = HostSim::new_in(cfg, &mut arena);
         let t1 = clock.now_ns();
-        metrics.push(sim.run_salvaging(&mut arena));
+        metrics.push(sim.run());
         let t2 = clock.now_ns();
         setup_ns += t1 - t0;
         loop_ns += t2 - t1;

@@ -14,9 +14,6 @@
 //! * how many invalidation-queue entries a descriptor costs (64 vs 1,
 //!   Figure 6).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use fns_faults::{FaultKind, FaultPlane};
 use fns_iommu::{InvalidationQueue, InvalidationRequest, InvalidationScope, Iommu, IommuConfig};
 use fns_iova::carver::ChunkCarver;
@@ -24,7 +21,7 @@ use fns_iova::types::{Iova, IovaRange};
 use fns_iova::{AllocError, AllocStats, CachingAllocator, IovaAllocator};
 use fns_mem::{FrameAllocator, PhysAddr};
 use fns_nic::descriptor::{Descriptor, DescriptorPage};
-use fns_sim::stats::ReuseDistance;
+use fns_sim::stats::{ReuseDistance, U64Map};
 use fns_sim::time::Nanos;
 use fns_trace::{Span, SpanSet, TraceCategory, TraceData};
 
@@ -38,34 +35,6 @@ pub const TX_CHUNK_PAGES: u64 = 64;
 
 /// 4 KB pages per 2 MB hugepage.
 pub const HUGE_PAGES: u64 = 512;
-
-/// Multiply-rotate hasher for pfn-keyed maps. The chunk map is keyed by
-/// 64-aligned base pfns and hit on every carve/release, where SipHash's
-/// per-lookup cost is measurable; a Fibonacci multiply mixes those keys
-/// well and is deterministic across runs (no per-process seed), which the
-/// bit-identical-replay guarantee requires anyway.
-#[derive(Default, Clone, Copy)]
-struct PfnHasher(u64);
-
-impl Hasher for PfnHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(23);
-    }
-}
-
-type PfnMap<V> = HashMap<u64, V, BuildHasherDefault<PfnHasher>>;
 
 /// Upper bound on pooled scratch vectors kept for reuse; anything beyond
 /// this is dropped rather than hoarded.
@@ -123,26 +92,6 @@ enum SyncGranularity {
     Batch,
 }
 
-/// Storage harvested from a finished [`DmaDriver`] — the driver's share of
-/// a run arena. Opaque: produced by [`DmaDriver::salvage`], consumed by
-/// [`DmaDriver::with_descriptor_pages_in`], which rewinds every component
-/// to its freshly-constructed state while keeping the big allocations
-/// (page-table slab, cache tables, frame bitmap, pooled vectors) alive.
-pub struct DriverSalvage {
-    iommu: Iommu,
-    frames: FrameAllocator,
-    chunks: PfnMap<ChunkCarver>,
-    pinned_free: Vec<std::collections::VecDeque<DescriptorPage>>,
-    huge_frames: Vec<Vec<u64>>,
-    quarantine: Vec<Vec<u64>>,
-    pending_wipe_reqs: std::collections::VecDeque<InvalidationRequest>,
-    pending_wipe_epochs: std::collections::VecDeque<u32>,
-    page_pool: Vec<Vec<DescriptorPage>>,
-    req_scratch: Vec<InvalidationRequest>,
-    reclaim_scratch: Vec<fns_iommu::ReclaimedPage>,
-    locality: ReuseDistance,
-}
-
 /// The protection-layer driver state for one host.
 pub struct DmaDriver {
     mode: ProtectionMode,
@@ -167,7 +116,7 @@ pub struct DmaDriver {
     /// carving, §3); same indexing as `tx_chunk`.
     rx_chunk: Vec<Option<u64>>,
     /// Live Tx chunks by base pfn.
-    chunks: PfnMap<ChunkCarver>,
+    chunks: U64Map<ChunkCarver>,
     /// Deferred mode: unmapped-but-not-yet-invalidated page count.
     deferred_pending: u32,
     deferred_threshold: u32,
@@ -276,85 +225,17 @@ impl DmaDriver {
         locality_cap: usize,
         rx_desc_pages: u64,
     ) -> Self {
-        Self::with_descriptor_pages_in(
-            mode,
-            cores,
-            iommu_cfg,
-            costs,
-            deferred_threshold,
-            locality_cap,
-            rx_desc_pages,
-            None,
-        )
-    }
-
-    /// Like [`DmaDriver::with_descriptor_pages`], optionally rebuilding on
-    /// top of storage salvaged from a previous run. The resulting driver is
-    /// behaviorally identical to a freshly constructed one — salvaged
-    /// components are rewound to their as-new state, only their heap
-    /// storage survives.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_descriptor_pages_in(
-        mode: ProtectionMode,
-        cores: usize,
-        iommu_cfg: IommuConfig,
-        costs: CpuCosts,
-        deferred_threshold: u32,
-        locality_cap: usize,
-        rx_desc_pages: u64,
-        salvage: Option<DriverSalvage>,
-    ) -> Self {
         let domains = iommu_cfg.domains.max(1);
         // The quarantine only exists in multi-domain topologies; with one
         // domain the global frame allocator's exact legacy behaviour (and
         // bit-identical RNG/metric trajectory) is preserved.
         let quarantine_domains = if domains > 1 { domains as usize } else { 0 };
-        let parts = match salvage {
-            Some(mut s) => {
-                s.iommu.reset(iommu_cfg);
-                // 16 GB of DMA-able memory: far more than any workload needs.
-                s.frames.reset(4 << 20);
-                s.chunks.clear();
-                for q in &mut s.pinned_free {
-                    q.clear();
-                }
-                s.pinned_free
-                    .resize_with(domains as usize, Default::default);
-                for v in &mut s.huge_frames {
-                    v.clear();
-                }
-                s.huge_frames.resize_with(domains as usize, Vec::new);
-                for v in &mut s.quarantine {
-                    v.clear();
-                }
-                s.quarantine.resize_with(quarantine_domains, Vec::new);
-                s.locality.reset();
-                s.req_scratch.clear();
-                s.reclaim_scratch.clear();
-                s.pending_wipe_reqs.clear();
-                s.pending_wipe_epochs.clear();
-                s
-            }
-            None => DriverSalvage {
-                iommu: Iommu::new(iommu_cfg),
-                frames: FrameAllocator::new(4 << 20),
-                chunks: PfnMap::default(),
-                pinned_free: vec![std::collections::VecDeque::new(); domains as usize],
-                huge_frames: vec![Vec::new(); domains as usize],
-                quarantine: vec![Vec::new(); quarantine_domains],
-                pending_wipe_reqs: std::collections::VecDeque::new(),
-                pending_wipe_epochs: std::collections::VecDeque::new(),
-                page_pool: Vec::new(),
-                req_scratch: Vec::new(),
-                reclaim_scratch: Vec::new(),
-                locality: ReuseDistance::new(),
-            },
-        };
         Self {
             mode,
-            iommu: parts.iommu,
+            iommu: Iommu::new(iommu_cfg),
             alloc: CachingAllocator::with_defaults(cores),
-            frames: parts.frames,
+            // 16 GB of DMA-able memory: far more than any workload needs.
+            frames: FrameAllocator::new(4 << 20),
             invq: InvalidationQueue::default(),
             costs,
             rx_desc_pages,
@@ -362,20 +243,20 @@ impl DmaDriver {
             domains,
             tx_chunk: vec![None; cores * domains as usize],
             rx_chunk: vec![None; cores * domains as usize],
-            chunks: parts.chunks,
+            chunks: U64Map::default(),
             deferred_pending: 0,
             deferred_threshold,
-            pinned_free: parts.pinned_free,
+            pinned_free: vec![std::collections::VecDeque::new(); domains as usize],
             // Above the 16 GB frame-allocator range, 2 MB aligned.
             next_pinned_pfn: 8 << 20,
-            huge_frames: parts.huge_frames,
-            quarantine: parts.quarantine,
-            pending_wipe_reqs: parts.pending_wipe_reqs,
-            pending_wipe_epochs: parts.pending_wipe_epochs,
-            page_pool: parts.page_pool,
-            req_scratch: parts.req_scratch,
-            reclaim_scratch: parts.reclaim_scratch,
-            locality: parts.locality,
+            huge_frames: vec![Vec::new(); domains as usize],
+            quarantine: vec![Vec::new(); quarantine_domains],
+            pending_wipe_reqs: std::collections::VecDeque::new(),
+            pending_wipe_epochs: std::collections::VecDeque::new(),
+            page_pool: Vec::new(),
+            req_scratch: Vec::new(),
+            reclaim_scratch: Vec::new(),
+            locality: ReuseDistance::new(),
             locality_cap,
             locality_recording: true,
             spans: SpanSet::default(),
@@ -386,26 +267,6 @@ impl DmaDriver {
             inv_submit_seq: 0,
             map_ops: 0,
             next_desc_id: 0,
-        }
-    }
-
-    /// Tears the driver down into its reusable storage (see
-    /// [`DriverSalvage`]). Outstanding wipe epochs are discarded with the
-    /// run; the ring storage itself survives.
-    pub fn salvage(self) -> DriverSalvage {
-        DriverSalvage {
-            iommu: self.iommu,
-            frames: self.frames,
-            chunks: self.chunks,
-            pinned_free: self.pinned_free,
-            huge_frames: self.huge_frames,
-            quarantine: self.quarantine,
-            pending_wipe_reqs: self.pending_wipe_reqs,
-            pending_wipe_epochs: self.pending_wipe_epochs,
-            page_pool: self.page_pool,
-            req_scratch: self.req_scratch,
-            reclaim_scratch: self.reclaim_scratch,
-            locality: self.locality,
         }
     }
 
@@ -835,27 +696,6 @@ impl DmaDriver {
         costs: CpuCosts,
         fault_cfg: fns_faults::FaultConfig,
     ) -> Result<Self, fns_snap::SnapError> {
-        Self::unsnap_in(r, mode, costs, fault_cfg, None)
-    }
-
-    /// Like [`DmaDriver::unsnap`], reusing a salvage's storage-only parts:
-    /// the scratch pools and the locality trace's allocations, which would
-    /// otherwise regrow during the run. Everything else in the salvage is
-    /// released before decoding, so the two drivers never coexist.
-    pub(crate) fn unsnap_in(
-        r: &mut fns_snap::SnapReader,
-        mode: ProtectionMode,
-        costs: CpuCosts,
-        fault_cfg: fns_faults::FaultConfig,
-        salvage: Option<DriverSalvage>,
-    ) -> Result<Self, fns_snap::SnapError> {
-        let (mut page_pool, mut req_scratch, mut reclaim_scratch, locality) = match salvage {
-            Some(s) => (s.page_pool, s.req_scratch, s.reclaim_scratch, s.locality),
-            None => Default::default(),
-        };
-        req_scratch.clear();
-        reclaim_scratch.clear();
-        page_pool.truncate(POOL_CAP);
         let iommu = Iommu::unsnap(r)?;
         let alloc = CachingAllocator::unsnap(r)?;
         let frames = FrameAllocator::unsnap(r)?;
@@ -871,7 +711,7 @@ impl DmaDriver {
             rx_chunk.push(r.opt(|r| r.u64())?);
         }
         let n = r.seq()?;
-        let mut chunks = PfnMap::default();
+        let mut chunks = U64Map::default();
         for _ in 0..n {
             let base = r.u64()?;
             chunks.insert(base, ChunkCarver::unsnap(r)?);
@@ -918,7 +758,7 @@ impl DmaDriver {
                 tag: queued,
             });
         }
-        let locality = ReuseDistance::unsnap_in(r, locality)?;
+        let locality = ReuseDistance::unsnap(r)?;
         let locality_cap = r.usize()?;
         let locality_recording = r.bool()?;
         let spans = SpanSet::unsnap(r)?;
@@ -964,9 +804,9 @@ impl DmaDriver {
             quarantine,
             pending_wipe_reqs,
             pending_wipe_epochs,
-            page_pool,
-            req_scratch,
-            reclaim_scratch,
+            page_pool: Vec::new(),
+            req_scratch: Vec::new(),
+            reclaim_scratch: Vec::new(),
             locality,
             locality_cap,
             locality_recording,

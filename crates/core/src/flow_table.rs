@@ -106,14 +106,6 @@ impl<T> FlowTable<T> {
         }
     }
 
-    /// Removes every flow while keeping both segments' storage — the
-    /// arena hook for back-to-back runs.
-    pub fn clear(&mut self) {
-        self.low.clear();
-        self.high.clear();
-        self.len = 0;
-    }
-
     /// Pre-sizes each segment for the flow ids in `ids` that land in it,
     /// so datacenter-scale scenarios (tens of thousands of flows) fill the
     /// table without the doubling reallocations that `insert`'s

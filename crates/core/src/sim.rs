@@ -43,7 +43,7 @@ use fns_trace::{
 };
 
 use crate::config::{CpuCosts, SimConfig, Topology, Workload};
-use crate::driver::{DmaDriver, DriverSalvage, Sabotage};
+use crate::driver::{DmaDriver, Sabotage};
 use crate::flow_table::{FlowSet, FlowTable};
 use crate::metrics::RunMetrics;
 use crate::mode::ProtectionMode;
@@ -264,13 +264,6 @@ impl Payloads {
     fn live(&self) -> usize {
         self.packets.live() + self.tx.live() + self.pages.live()
     }
-
-    /// Empties every slab, keeping its storage — the arena-reuse hook.
-    fn clear(&mut self) {
-        self.packets.clear();
-        self.tx.clear();
-        self.pages.clear();
-    }
 }
 
 /// Free-list slab indexed by the slot an event carries. The push that
@@ -323,11 +316,6 @@ impl<T> Slab<T> {
     #[cfg(test)]
     fn live(&self) -> usize {
         self.slots.len() - self.free.len()
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
     }
 }
 
@@ -568,25 +556,18 @@ impl Snapshot {
     }
 }
 
-/// Reusable cross-run storage for back-to-back simulations — the *run
-/// arena*. A sweep worker owns one arena and threads it through
-/// [`HostSim::run_in`]; each finished run hands its big allocations back
-/// (event-queue node and payload slabs, IO page-table slab, IOTLB/PTcache
-/// tables, frame bitmap, flow tables, pooled descriptor-page and
-/// invalidation vectors)
-/// and the next run rewinds them instead of reallocating. Every salvaged
-/// component resets to its exact as-new state, so a run executed in a
-/// recycled arena is bit-identical to one executed fresh —
+/// Cross-run state for back-to-back simulations — the *run arena*. A sweep
+/// worker owns one arena and threads it through [`HostSim::run_in`]. Every
+/// run still builds its storage fresh; what the arena keeps is *aged
+/// states*. Allocator aging and ring churn are most of a run's
+/// construction, and they depend only on the few config fields in
+/// [`AgingKey`]: a figure sweep that varies flows, value sizes or windows
+/// reaches the same post-churn state once per mode. The first run of a key
+/// snapshots the driver and the Rx rings after churn; later runs with an
+/// equal key restore that snapshot instead of aging again. The restored
+/// state is the snapshot plane's exact round trip, so a run in an arena is
+/// bit-identical to one built with [`HostSim::new`] —
 /// `tests/golden_determinism.rs` pins that.
-///
-/// The arena also keeps *aged states*. Allocator aging and ring churn are
-/// most of a run's construction, and they depend only on the few config
-/// fields in [`AgingKey`]: a figure sweep that varies flows, value sizes
-/// or windows reaches the same post-churn state once per mode. The first
-/// run of a key snapshots the driver and the Rx rings after churn; later
-/// runs with an equal key restore that snapshot instead of aging again.
-/// The restored state is the snapshot plane's exact round trip, so these
-/// runs stay bit-identical to fresh ones too.
 ///
 /// # Examples
 ///
@@ -603,23 +584,24 @@ impl Snapshot {
 /// }
 /// assert_eq!(arena.aged_states(), 1);
 /// ```
-#[derive(Default)]
 pub struct RunArena {
-    queue: Option<EventQueue<Ev>>,
-    payloads: Payloads,
-    driver: Option<DriverSalvage>,
-    peer_senders: FlowTable<DctcpSender>,
-    dut_receivers: FlowTable<FlowReceiver>,
-    dut_senders: FlowTable<DctcpSender>,
-    peer_receivers: FlowTable<FlowReceiver>,
-    core_of: FlowTable<usize>,
-    aged: AgedStates,
-    last_queue_reallocs: u64,
+    /// The kept states, snapshot-plane images of the driver and the Rx
+    /// rings, oldest first.
+    states: Vec<(AgingKey, Vec<u8>)>,
+    bytes: usize,
+    budget: usize,
+    reuses: u64,
+}
+
+impl Default for RunArena {
+    fn default() -> Self {
+        Self::within(AGED_STATE_BUDGET)
+    }
 }
 
 impl RunArena {
-    /// Creates an empty arena. The first run through it allocates
-    /// everything fresh; subsequent runs recycle.
+    /// Creates an empty arena. The first run of each [`AgingKey`] ages the
+    /// allocator; later runs of that key restore its state.
     pub fn new() -> Self {
         Self::default()
     }
@@ -627,28 +609,48 @@ impl RunArena {
     /// An arena for exactly one run ([`HostSim::new`]): no later run can
     /// reuse its aged state, so it keeps none.
     fn single_run() -> Self {
-        Self {
-            aged: AgedStates::within(0),
-            ..Self::default()
-        }
+        Self::within(0)
     }
 
-    /// Number of times the event queue grew its storage during the most
-    /// recently harvested run. A warm arena on a steady workload reports
-    /// zero — `arena_recycled_runs_match_fresh_runs` asserts exactly that.
-    pub fn last_queue_reallocs(&self) -> u64 {
-        self.last_queue_reallocs
+    /// An arena that keeps states up to `budget` bytes in all.
+    fn within(budget: usize) -> Self {
+        Self {
+            states: Vec::new(),
+            bytes: 0,
+            budget,
+            reuses: 0,
+        }
     }
 
     /// Distinct post-churn states the arena currently keeps.
     pub fn aged_states(&self) -> usize {
-        self.aged.states.len()
+        self.states.len()
     }
 
     /// Runs built in this arena that restored a kept post-churn state
     /// instead of aging the allocator.
     pub fn aged_reuses(&self) -> u64 {
-        self.aged.reuses
+        self.reuses
+    }
+
+    fn kept_image(&mut self, key: &AgingKey) -> Option<&[u8]> {
+        let (_, image) = self.states.iter().find(|(k, _)| k == key)?;
+        self.reuses += 1;
+        Some(image)
+    }
+
+    /// Keeps `image` for `key`, dropping the oldest states to stay within
+    /// the budget; an image larger than the whole budget is not kept.
+    fn keep(&mut self, key: AgingKey, image: Vec<u8>) {
+        if image.len() > self.budget {
+            return;
+        }
+        while self.bytes + image.len() > self.budget {
+            let (_, oldest) = self.states.remove(0);
+            self.bytes -= oldest.len();
+        }
+        self.bytes += image.len();
+        self.states.push((key, image));
     }
 }
 
@@ -701,54 +703,6 @@ impl AgingKey {
             aging_factor: cfg.aging_factor,
             seed: cfg.seed,
         })
-    }
-}
-
-/// An arena's post-churn states: snapshot-plane images of the driver and
-/// the Rx rings, oldest first, within a byte budget.
-struct AgedStates {
-    states: Vec<(AgingKey, Vec<u8>)>,
-    bytes: usize,
-    budget: usize,
-    reuses: u64,
-}
-
-impl Default for AgedStates {
-    fn default() -> Self {
-        Self::within(AGED_STATE_BUDGET)
-    }
-}
-
-impl AgedStates {
-    fn within(budget: usize) -> Self {
-        Self {
-            states: Vec::new(),
-            bytes: 0,
-            budget,
-            reuses: 0,
-        }
-    }
-
-    fn get(&mut self, key: &AgingKey) -> Option<&[u8]> {
-        let (_, image) = self.states.iter().find(|(k, _)| k == key)?;
-        self.reuses += 1;
-        Some(image)
-    }
-
-    fn keeps(&self) -> bool {
-        self.budget > 0
-    }
-
-    fn insert(&mut self, key: AgingKey, image: Vec<u8>) {
-        if image.len() > self.budget {
-            return;
-        }
-        while self.bytes + image.len() > self.budget {
-            let (_, oldest) = self.states.remove(0);
-            self.bytes -= oldest.len();
-        }
-        self.bytes += image.len();
-        self.states.push((key, image));
     }
 }
 
@@ -885,9 +839,11 @@ impl HostSim {
         Self::new_in(cfg, &mut RunArena::single_run())
     }
 
-    /// Builds a simulation on top of an arena's recycled storage and aged
-    /// states. The result is behaviorally identical to [`HostSim::new`] —
-    /// only heap allocations and repeated aging are saved, never state.
+    /// Builds a simulation that restores its post-churn state from the
+    /// arena when the arena keeps one for its [`AgingKey`], and otherwise
+    /// ages it and leaves the state in the arena. The result is
+    /// behaviorally identical to [`HostSim::new`] — only repeated aging is
+    /// saved, never state.
     pub fn new_in(mut cfg: SimConfig, arena: &mut RunArena) -> Self {
         if cfg.mode.huge_rx() {
             // Strict huge-Rx requires 2 MB (512-page) descriptors so one
@@ -900,12 +856,12 @@ impl HostSim {
         cfg.iommu.domains = cfg.iommu.domains.max(cfg.topology.domains());
         let rng = SimRng::seed(cfg.seed);
         let aging = AgingKey::of(&cfg);
-        let kept = aging.and_then(|key| arena.aged.get(&key));
+        let kept = aging.and_then(|key| arena.kept_image(&key));
         let restored = kept.is_some();
         let (drv, rings) = match kept {
-            Some(image) => Self::restore_aged(image, &cfg, arena.driver.take()),
+            Some(image) => Self::restore_aged(image, &cfg),
             None => {
-                let drv = DmaDriver::with_descriptor_pages_in(
+                let drv = DmaDriver::with_descriptor_pages(
                     cfg.mode,
                     cfg.cores,
                     cfg.iommu,
@@ -913,22 +869,14 @@ impl HostSim {
                     cfg.deferred_flush_threshold,
                     cfg.locality_samples,
                     cfg.pages_per_descriptor as u64,
-                    arena.driver.take(),
                 );
                 (drv, Vec::new())
             }
         };
-        let q = match arena.queue.take() {
-            Some(mut q) => {
-                q.reset();
-                q
-            }
+        let mut sim = Self {
             // Pre-sized so steady-state event churn never reallocates the
             // backlog (the deepest observed backlogs stay well below this).
-            None => EventQueue::with_capacity(4096),
-        };
-        let mut sim = Self {
-            q,
+            q: EventQueue::with_capacity(4096),
             rng,
             drv,
             rings,
@@ -944,11 +892,11 @@ impl HostSim {
             tx_inflight: 0,
             tx_queues: (0..cfg.cores).map(|_| VecDeque::new()).collect(),
             tx_rr: 0,
-            peer_senders: std::mem::take(&mut arena.peer_senders),
-            dut_receivers: std::mem::take(&mut arena.dut_receivers),
-            dut_senders: std::mem::take(&mut arena.dut_senders),
-            peer_receivers: std::mem::take(&mut arena.peer_receivers),
-            core_of: std::mem::take(&mut arena.core_of),
+            peer_senders: FlowTable::new(),
+            dut_receivers: FlowTable::new(),
+            dut_senders: FlowTable::new(),
+            peer_receivers: FlowTable::new(),
+            core_of: FlowTable::new(),
             to_dut: SwitchQueue::new(4 << 20, cfg.ecn_k_bytes),
             to_dut_link: SerialResource::new(),
             to_dut_draining: false,
@@ -975,7 +923,7 @@ impl HostSim {
             tap: Tap::Off,
             sampler: Sampler::new(cfg.probes),
             wd: WatchdogState::default(),
-            payloads: std::mem::take(&mut arena.payloads),
+            payloads: Payloads::default(),
             scratch: Scratch::default(),
             cfg,
         };
@@ -1000,8 +948,8 @@ impl HostSim {
         }
         if !restored {
             sim.age();
-            if let Some(key) = aging.filter(|_| arena.aged.keeps()) {
-                arena.aged.insert(key, sim.aged_image());
+            if let Some(key) = aging.filter(|_| arena.budget > 0) {
+                arena.keep(key, sim.aged_image());
             }
         }
         sim.init();
@@ -1201,15 +1149,11 @@ impl HostSim {
     /// trace, observer and fault planes install after aging and the oracle
     /// is never on here (see [`AgingKey::of`]), so the restored driver's
     /// `Off` handles and disabled fault plane match a freshly aged one.
-    fn restore_aged(
-        image: &[u8],
-        cfg: &SimConfig,
-        salvage: Option<DriverSalvage>,
-    ) -> (DmaDriver, Vec<RingState>) {
+    fn restore_aged(image: &[u8], cfg: &SimConfig) -> (DmaDriver, Vec<RingState>) {
         let restore = || -> Result<_, SnapError> {
             let mut r = SnapReader::new(image)?;
             let disabled = FaultConfig::disabled();
-            let drv = DmaDriver::unsnap_in(&mut r, cfg.mode, cfg.cpu, disabled, salvage)?;
+            let drv = DmaDriver::unsnap(&mut r, cfg.mode, cfg.cpu, disabled)?;
             let n = r.seq()?;
             let mut rings = Vec::with_capacity(n.min(1 << 10));
             for _ in 0..n {
@@ -1493,23 +1437,19 @@ impl HostSim {
         self.collect(end)
     }
 
-    /// Runs `cfg` to completion inside `arena`: construction recycles the
-    /// arena's storage, and the finished run's allocations are harvested
-    /// back for the next call. Metrics are bit-identical to
+    /// Runs `cfg` to completion inside `arena`, which may lend it an aged
+    /// state (see [`HostSim::new_in`]). Metrics are bit-identical to
     /// `HostSim::new(cfg).run()`.
     pub fn run_in(cfg: SimConfig, arena: &mut RunArena) -> RunMetrics {
-        Self::new_in(cfg, arena).run_salvaging(arena)
+        Self::new_in(cfg, arena).run()
     }
 
-    /// Finishes a sim built with [`HostSim::new_in`]: runs to the configured
-    /// end time, collects metrics, and harvests the run's allocations back
-    /// into `arena` for the next construction. `run_in` is exactly
-    /// `new_in` + `run_salvaging`; the split exists so callers (e.g.
-    /// `perf_smoke`) can time construction and the event loop apart.
-    pub fn run_salvaging(mut self, arena: &mut RunArena) -> RunMetrics {
-        let end = self.cfg.end_time();
-        self.step_until(end);
-        self.collect_into(end, Some(arena))
+    /// Exactly [`HostSim::run`]: `arena` is unused. It remains for the
+    /// `perfbench` sweep, which times construction and the event loop apart
+    /// through it; the next benchmark change moves that caller to `run`
+    /// and deletes this method.
+    pub fn run_salvaging(self, _arena: &mut RunArena) -> RunMetrics {
+        self.run()
     }
 
     /// Processes events up to (and including) time `t`.
@@ -2998,10 +2938,6 @@ impl HostSim {
     }
 
     fn collect(self, end: Nanos) -> RunMetrics {
-        self.collect_into(end, None)
-    }
-
-    fn collect_into(mut self, end: Nanos, arena: Option<&mut RunArena>) -> RunMetrics {
         let window = end - self.cfg.warmup;
         let snap = &self.snapshot;
         let iommu_now = self.drv.iommu.stats();
@@ -3036,7 +2972,7 @@ impl HostSim {
             .collect();
         let nic_enq_now: u64 = self.nic_bufs.iter().map(|b| b.enqueued_packets()).sum();
         let nic_drops_now: u64 = self.nic_bufs.iter().map(|b| b.dropped_packets()).sum();
-        let metrics = RunMetrics {
+        RunMetrics {
             window_ns: window,
             rx_goodput_bytes: rx_delivered - snap.rx_delivered,
             tx_goodput_bytes: tx_delivered - snap.tx_delivered,
@@ -3069,35 +3005,7 @@ impl HostSim {
             txns,
             registry,
             flight,
-        };
-        // Harvest the run's storage back into the arena. Still-posted ring
-        // descriptors feed the driver's page pool first, so the next run's
-        // ring fill starts from recycled vectors.
-        if let Some(arena) = arena {
-            for rs in &mut self.rings {
-                while let Some(d) = rs.ring.pop_any() {
-                    self.drv.recycle_descriptor(d);
-                }
-            }
-            let mut q = self.q;
-            arena.last_queue_reallocs = q.reallocs();
-            q.reset();
-            arena.queue = Some(q);
-            self.payloads.clear();
-            arena.payloads = self.payloads;
-            arena.driver = Some(self.drv.salvage());
-            self.peer_senders.clear();
-            self.dut_receivers.clear();
-            self.dut_senders.clear();
-            self.peer_receivers.clear();
-            self.core_of.clear();
-            arena.peer_senders = self.peer_senders;
-            arena.dut_receivers = self.dut_receivers;
-            arena.dut_senders = self.dut_senders;
-            arena.peer_receivers = self.peer_receivers;
-            arena.core_of = self.core_of;
         }
-        metrics
     }
 }
 
@@ -3207,22 +3115,22 @@ mod tests {
 
     #[test]
     fn aged_states_stay_within_the_byte_budget() {
-        let mut arena = RunArena {
-            aged: AgedStates::within(1),
-            ..RunArena::default()
-        };
+        let mut arena = RunArena::within(1);
         let mut cfg = SimConfig::paper_default(ProtectionMode::FastAndSafe);
         cfg.ring_packets = 16;
         HostSim::new_in(cfg, &mut arena);
         assert_eq!(arena.aged_states(), 0, "an image over budget is not kept");
-        let mut states = AgedStates::within(10);
+        let mut arena = RunArena::within(10);
         let key = |seed| AgingKey::of(&SimConfig { seed, ..cfg }).unwrap();
-        states.insert(key(1), vec![0; 4]);
-        states.insert(key(2), vec![0; 4]);
-        states.insert(key(3), vec![0; 4]);
-        assert_eq!(states.bytes, 8);
-        assert!(states.get(&key(1)).is_none(), "the oldest state goes first");
-        assert!(states.get(&key(3)).is_some());
+        arena.keep(key(1), vec![0; 4]);
+        arena.keep(key(2), vec![0; 4]);
+        arena.keep(key(3), vec![0; 4]);
+        assert_eq!(arena.bytes, 8);
+        assert!(
+            arena.kept_image(&key(1)).is_none(),
+            "the oldest state goes first"
+        );
+        assert!(arena.kept_image(&key(3)).is_some());
     }
 
     #[test]

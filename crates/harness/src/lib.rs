@@ -99,12 +99,11 @@ impl SweepRunner {
 
     /// Like [`SweepRunner::map`], but each worker thread carries a mutable
     /// state built once by `init` and threaded through every call that
-    /// worker makes. This is the arena hook: a worker's scratch allocations
-    /// (event-queue slab, page tables, flow tables, pools) survive from one
-    /// sweep point to the next instead of being rebuilt per run.
+    /// worker makes: a [`RunArena`], say, whose aged states serve every
+    /// later sweep point of the same aging key on that worker.
     ///
     /// The sequential path (one worker or one input) builds a single state
-    /// and reuses it across every input — the maximum-recycling baseline.
+    /// and reuses it across every input.
     /// `f` must not let the state affect results: `results[i]` must equal
     /// `f(fresh_state, inputs[i])` regardless of which worker ran it.
     pub fn map_with<T, R, S, I, F>(&self, inputs: Vec<T>, init: I, f: F) -> Vec<R>
@@ -157,7 +156,7 @@ impl SweepRunner {
 
     /// Runs every configuration to completion; `results[i]` corresponds to
     /// `configs[i]`. Each worker reuses a [`RunArena`] across its runs, so
-    /// back-to-back sweep points recycle their big allocations.
+    /// back-to-back sweep points of one aging key age the allocator once.
     pub fn run_sims(&self, configs: Vec<SimConfig>) -> Vec<RunMetrics> {
         self.map_with(configs, RunArena::new, |arena, cfg| {
             HostSim::run_in(cfg, arena)

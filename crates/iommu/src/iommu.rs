@@ -176,27 +176,6 @@ impl Iommu {
         }
     }
 
-    /// Rewinds to the freshly-constructed state for `config`, reusing the
-    /// page-table slabs and cache tables when the hardware shape is
-    /// unchanged (the common case across a sweep) — the arena hook for
-    /// back-to-back runs. Behaviorally identical to `Iommu::new(config)`.
-    pub fn reset(&mut self, config: IommuConfig) {
-        if config == self.config {
-            for pt in &mut self.pts {
-                pt.reset();
-            }
-            self.iotlb.clear();
-            self.iotlb_huge.clear();
-            self.ptc_l1.clear();
-            self.ptc_l2.clear();
-            self.ptc_l3.clear();
-            self.stats = IommuStats::default();
-            self.dstats.fill(DomainStats::default());
-        } else {
-            *self = Iommu::new(config);
-        }
-    }
-
     /// The hardware configuration.
     pub fn config(&self) -> IommuConfig {
         self.config
@@ -761,6 +740,40 @@ impl Iommu {
         let ptcache_l2_entries = r.usize()?;
         let ptcache_l3_entries = r.usize()?;
         let iotlb_assoc = r.opt(|r| r.usize())?;
+        // The caches must be the ones `Iommu::new` builds for this config.
+        let shapes = [
+            (
+                "IOTLB vs its config",
+                iotlb_entries,
+                iotlb.has_shape(iotlb_entries, iotlb_assoc),
+            ),
+            (
+                "huge IOTLB vs its config",
+                iotlb_huge_entries,
+                iotlb_huge.capacity() == iotlb_huge_entries,
+            ),
+            (
+                "PTcache-L1 vs its config",
+                ptcache_l1_entries,
+                ptc_l1.capacity() == ptcache_l1_entries,
+            ),
+            (
+                "PTcache-L2 vs its config",
+                ptcache_l2_entries,
+                ptc_l2.capacity() == ptcache_l2_entries,
+            ),
+            (
+                "PTcache-L3 vs its config",
+                ptcache_l3_entries,
+                ptc_l3.capacity() == ptcache_l3_entries,
+            ),
+        ];
+        if let Some(&(what, entries, _)) = shapes.iter().find(|s| !s.2) {
+            return Err(fns_snap::SnapError::BadTag {
+                what,
+                tag: entries as u64,
+            });
+        }
         if !r.bool()? {
             return Err(fns_snap::SnapError::BadTag {
                 what: "retired stale-check switch word",
@@ -789,7 +802,16 @@ impl Iommu {
             ptcache_invalidations: r.u64()?,
             invalidation_queue_entries: r.u64()?,
         };
-        let domains = r.u64()? as usize;
+        // The config stores the count as a `u16`, and every translation
+        // indexes a domain's page table.
+        let domains = r.u64()?;
+        if domains == 0 || domains > u64::from(u16::MAX) {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "IOMMU domain count",
+                tag: domains,
+            });
+        }
+        let domains = domains as usize;
         let mut pts = Vec::with_capacity(domains);
         pts.push(pt0);
         for _ in 1..domains {
@@ -1166,23 +1188,53 @@ mod tests {
         assert_eq!(back.translate_in(1, i).pa(), Some(pa(6)));
     }
 
+    /// The image of `m` and the offset of its first config word
+    /// (`iotlb_entries`), found by the config's five cache sizes and its
+    /// associativity.
+    fn image_and_config_words(m: &Iommu) -> (Vec<u8>, usize) {
+        let mut w = fns_snap::SnapWriter::new();
+        m.snap(&mut w);
+        let image = w.finish();
+        let c = m.config();
+        let mut words: Vec<u8> = [
+            c.iotlb_entries,
+            c.iotlb_huge_entries,
+            c.ptcache_l1_entries,
+            c.ptcache_l2_entries,
+            c.ptcache_l3_entries,
+        ]
+        .iter()
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+        match c.iotlb_assoc {
+            None => words.push(0),
+            Some(ways) => {
+                words.push(1);
+                words.extend((ways as u64).to_le_bytes());
+            }
+        }
+        let at = image
+            .windows(words.len())
+            .position(|w| w == words)
+            .expect("config words in the image");
+        (image, at)
+    }
+
+    /// Unsnaps `image` with the little-endian `u64` at `at` set to `word`.
+    fn unsnap_with_word(image: &[u8], at: usize, word: u64) -> Result<Iommu, fns_snap::SnapError> {
+        let mut bad = image.to_vec();
+        bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        fns_snap::reseal(&mut bad);
+        let mut r = fns_snap::SnapReader::new(&bad).unwrap();
+        Iommu::unsnap(&mut r)
+    }
+
     #[test]
     fn images_with_retired_config_words_changed_are_refused() {
-        let mut w = fns_snap::SnapWriter::new();
-        mmu().snap(&mut w);
-        let good = w.finish();
-        // The default cache sizes and the absent associativity come right
-        // before the retired stale-check switch (true) and domain id (0).
-        let sizes: Vec<u8> = [64u64, 32, 16, 16, 16]
-            .iter()
-            .flat_map(|v| v.to_le_bytes())
-            .chain([0])
-            .collect();
-        let at = good
-            .windows(sizes.len())
-            .position(|w| w == sizes)
-            .expect("config words in the image")
-            + sizes.len();
+        let (good, at) = image_and_config_words(&mmu());
+        // The retired stale-check switch (true) and domain id (0) follow
+        // the five sizes and the absent associativity.
+        let at = at + 5 * 8 + 1;
         assert_eq!(good[at..at + 9], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
         for (offset, byte) in [(0, 0u8), (1, 3)] {
             let mut bad = good.clone();
@@ -1195,6 +1247,70 @@ mod tests {
                     Err(fns_snap::SnapError::BadTag { .. })
                 ),
                 "byte {offset} set to {byte} was accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn images_with_a_bad_domain_count_are_refused() {
+        let (good, at) = image_and_config_words(&mmu_domains(2));
+        // Switch and domain id, then 13 global counters, then the count.
+        let at = at + 5 * 8 + 1 + 9 + 13 * 8;
+        assert_eq!(good[at..at + 8], 2u64.to_le_bytes());
+        assert_eq!(unsnap_with_word(&good, at, 2).unwrap().domains(), 2);
+        for count in [0, 1 << 16, 1 << 62] {
+            assert_eq!(
+                unsnap_with_word(&good, at, count).err(),
+                Some(fns_snap::SnapError::BadTag {
+                    what: "IOMMU domain count",
+                    tag: count
+                }),
+                "domain count {count}"
+            );
+        }
+    }
+
+    #[test]
+    fn images_whose_caches_disagree_with_their_config_are_refused() {
+        let (good, at) = image_and_config_words(&mmu());
+        for (i, what) in [
+            "IOTLB vs its config",
+            "huge IOTLB vs its config",
+            "PTcache-L1 vs its config",
+            "PTcache-L2 vs its config",
+            "PTcache-L3 vs its config",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = at + 8 * i;
+            let entries = u64::from_le_bytes(good[at..at + 8].try_into().unwrap());
+            assert_eq!(
+                unsnap_with_word(&good, at, entries * 2).err(),
+                Some(fns_snap::SnapError::BadTag {
+                    what,
+                    tag: entries * 2
+                })
+            );
+        }
+        // A set-associative IOTLB: 64 entries in 16 sets of 4 ways.
+        let m = Iommu::new(IommuConfig {
+            iotlb_assoc: Some(4),
+            ..IommuConfig::default()
+        });
+        let (good, at) = image_and_config_words(&m);
+        let ways_at = at + 5 * 8 + 1;
+        assert!(unsnap_with_word(&good, ways_at, 4).is_ok());
+        for ways in [2, 8, 0] {
+            assert!(
+                matches!(
+                    unsnap_with_word(&good, ways_at, ways),
+                    Err(fns_snap::SnapError::BadTag {
+                        what: "IOTLB vs its config",
+                        ..
+                    })
+                ),
+                "{ways} ways accepted"
             );
         }
     }

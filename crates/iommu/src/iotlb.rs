@@ -102,6 +102,20 @@ impl Iotlb {
         }
     }
 
+    /// Whether this is the organization [`Iotlb::new`] builds for
+    /// `entries` and `assoc`.
+    pub(crate) fn has_shape(&self, entries: usize, assoc: Option<usize>) -> bool {
+        match (self, assoc) {
+            (Iotlb::FullAssoc(c), None) => c.capacity() == entries,
+            (Iotlb::SetAssoc { sets }, Some(ways)) => {
+                !sets.is_empty()
+                    && sets.len().checked_mul(ways) == Some(entries)
+                    && sets.iter().all(|s| s.capacity() == ways)
+            }
+            _ => false,
+        }
+    }
+
     fn set_for(sets: &[Lru64<TlbEntry>], pfn: u64) -> usize {
         (pfn % sets.len() as u64) as usize
     }
@@ -246,6 +260,21 @@ mod tests {
             pa: PhysAddr::from_pfn(v),
             l4: PageRef::from_parts(0, 0),
         }
+    }
+
+    #[test]
+    fn has_shape_matches_only_the_built_organization() {
+        let full = Iotlb::new(64, None);
+        let sets = Iotlb::new(64, Some(4));
+        assert!(full.has_shape(64, None));
+        assert!(sets.has_shape(64, Some(4)));
+        assert!(!full.has_shape(64, Some(4)));
+        assert!(!full.has_shape(32, None));
+        assert!(!sets.has_shape(64, None));
+        assert!(!sets.has_shape(64, Some(8)));
+        assert!(!sets.has_shape(64, Some(0)));
+        let empty = Iotlb::SetAssoc { sets: Vec::new() };
+        assert!(!empty.has_shape(0, Some(4)));
     }
 
     #[test]

@@ -321,7 +321,8 @@ impl<V: Copy> Lru64<V> {
 
     /// Rebuilds a cache captured by [`Lru64::snap_with`], with `f` decoding
     /// each value. Entries are inserted LRU-first so the restored recency
-    /// order matches the snapshot.
+    /// order matches the snapshot. More entries than the capacity, or a
+    /// repeated key, is refused rather than evicted or merged.
     pub fn unsnap_with(
         r: &mut fns_snap::SnapReader,
         mut f: impl FnMut(&mut fns_snap::SnapReader) -> Result<V, fns_snap::SnapError>,
@@ -336,7 +337,14 @@ impl<V: Copy> Lru64<V> {
             });
         }
         let n = r.seq()?;
-        let mut pairs = Vec::with_capacity(n.min(1 << 20));
+        // Inserting more entries than fit would silently evict some.
+        if n > capacity {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "LRU entry count",
+                tag: n as u64,
+            });
+        }
+        let mut pairs = Vec::with_capacity(n);
         for _ in 0..n {
             let key = r.u64()?;
             pairs.push((key, f(r)?));
@@ -345,6 +353,14 @@ impl<V: Copy> Lru64<V> {
         for (key, value) in pairs.into_iter().rev() {
             cache.insert(key, value);
         }
+        // Nothing was evicted, so a shortfall is a repeated key merged into
+        // one entry.
+        if cache.len() != n {
+            return Err(fns_snap::SnapError::BadTag {
+                what: "repeated LRU key",
+                tag: (n - cache.len()) as u64,
+            });
+        }
         Ok(cache)
     }
 }
@@ -352,6 +368,50 @@ impl<V: Copy> Lru64<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A resealed image of a capacity-4 cache holding keys 3, 2, 1 (MRU
+    /// first), with `edit` applied to its body.
+    fn edited_image(edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut c = Lru64::new(4);
+        for k in 1..=3u64 {
+            c.insert(k, k * 10);
+        }
+        let mut w = fns_snap::SnapWriter::new();
+        c.snap_with(&mut w, |w, v| w.u64(*v));
+        let mut bytes = w.finish();
+        edit(&mut bytes);
+        fns_snap::reseal(&mut bytes);
+        bytes
+    }
+
+    fn unsnap_image(bytes: &[u8]) -> Result<Lru64<u64>, fns_snap::SnapError> {
+        let mut r = fns_snap::SnapReader::new(bytes).unwrap();
+        Lru64::unsnap_with(&mut r, |r| r.u64())
+    }
+
+    #[test]
+    fn unsnap_refuses_entries_it_would_evict_or_merge() {
+        // Header (12 bytes), capacity, count, then (key, value) pairs.
+        let (capacity, first_key, second_key) = (12, 28, 44);
+        let back = unsnap_image(&edited_image(|_| {})).unwrap();
+        assert_eq!(back.keys_mru_order(), [3, 2, 1]);
+        let overfull = edited_image(|b| b[capacity] = 2);
+        assert!(matches!(
+            unsnap_image(&overfull),
+            Err(fns_snap::SnapError::BadTag {
+                what: "LRU entry count",
+                tag: 3
+            })
+        ));
+        let repeated = edited_image(|b| b.copy_within(first_key..first_key + 8, second_key));
+        assert!(matches!(
+            unsnap_image(&repeated),
+            Err(fns_snap::SnapError::BadTag {
+                what: "repeated LRU key",
+                tag: 1
+            })
+        ));
+    }
 
     #[test]
     fn evicts_least_recently_used() {

@@ -235,21 +235,6 @@ impl IoPageTable {
         pt
     }
 
-    /// Rewinds to the freshly-constructed state (just a root page, zeroed
-    /// counters) while keeping the arena's capacity for reuse — the arena
-    /// hook for back-to-back simulation runs. The resulting table is
-    /// behaviorally identical to `IoPageTable::new()`.
-    pub fn reset(&mut self) {
-        self.entries.clear();
-        self.meta.clear();
-        self.free.clear();
-        self.map_cache = None;
-        self.unmap_cache = None;
-        self.stats = PtStats::default();
-        let root = self.alloc_page(1);
-        self.root = self.page_ref(root);
-    }
-
     fn alloc_page(&mut self, level: u8) -> usize {
         self.stats.pages_allocated += 1;
         if let Some(slot) = self.free.pop() {

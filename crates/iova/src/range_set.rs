@@ -26,40 +26,24 @@ use std::collections::BTreeMap;
 /// # Examples
 ///
 /// ```
-/// use fns_iova::RangeSet;
+/// use fns_iova::{IovaAllocator, RbTreeAllocator};
 ///
-/// let mut t = RangeSet::new();
-/// t.insert(10, 19).unwrap();
-/// t.insert(30, 39).unwrap();
-/// assert!(t.insert(15, 25).is_err()); // overlap rejected
-/// assert_eq!(t.below(31).next(), Some((30, 39)));
-/// assert_eq!(t.below(30).next(), Some((10, 19)));
-/// assert!(t.remove(10));
+/// // A top-down allocator over pfns [0, 100) places each range just below
+/// // the previous one.
+/// let mut a = RbTreeAllocator::with_limit(100);
+/// a.alloc(10, 0).unwrap();
+/// a.alloc(10, 0).unwrap();
+/// let mut t = a.ranges().clone();
+/// assert_eq!(t.iter().collect::<Vec<_>>(), [(80, 89), (90, 99)]);
+/// assert_eq!(t.below(91).next(), Some((90, 99)));
+/// assert_eq!(t.below(90).next(), Some((80, 89)));
+/// assert!(t.remove(80));
 /// assert_eq!(t.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RangeSet {
     map: BTreeMap<u64, u64>,
 }
-
-/// Error returned when inserting a range that overlaps an existing one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlapError {
-    /// The conflicting existing range.
-    pub existing: (u64, u64),
-}
-
-impl std::fmt::Display for OverlapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "range overlaps existing [{}, {}]",
-            self.existing.0, self.existing.1
-        )
-    }
-}
-
-impl std::error::Error for OverlapError {}
 
 impl RangeSet {
     /// Creates an empty set.
@@ -90,22 +74,6 @@ impl RangeSet {
     /// Returns `true` if the set holds no ranges.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Inserts the inclusive pfn range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn insert(&mut self, lo: u64, hi: u64) -> Result<(), OverlapError> {
-        assert!(lo <= hi, "inverted range [{lo}, {hi}]");
-        // The only range that can overlap is the highest one starting at or
-        // below `hi`: every lower one ends below it.
-        if let Some(existing) = self.at_or_below(hi).filter(|&(_, h)| h >= lo) {
-            return Err(OverlapError { existing });
-        }
-        self.map.insert(lo, hi);
-        Ok(())
     }
 
     /// Inserts `[lo, hi]` that the caller's gap search has already shown to
@@ -163,12 +131,25 @@ impl RangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fns_sim::rng::SimRng;
+
+    /// Inserts `[lo, hi]` if it overlaps no range, the check
+    /// [`RangeSet::insert_free`] leaves to its caller; returns whether it
+    /// did. The only range that can overlap is the highest one starting at
+    /// or below `hi`: every lower one ends below it.
+    fn try_insert(t: &mut RangeSet, lo: u64, hi: u64) -> bool {
+        let free = t.at_or_below(hi).is_none_or(|(_, h)| h < lo);
+        if free {
+            t.insert_free(lo, hi);
+        }
+        free
+    }
 
     #[test]
     fn insert_and_order() {
         let mut t = RangeSet::new();
         for lo in [50u64, 10, 30, 70, 20] {
-            t.insert(lo, lo + 5).unwrap();
+            t.insert_free(lo, lo + 5);
             t.check_invariants().unwrap();
         }
         assert_eq!(
@@ -178,24 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn overlap_rejected() {
-        let mut t = RangeSet::new();
-        t.insert(10, 20).unwrap();
-        assert_eq!(t.insert(20, 30), Err(OverlapError { existing: (10, 20) }));
-        assert!(t.insert(5, 10).is_err());
-        assert!(t.insert(12, 18).is_err());
-        assert!(t.insert(0, 100).is_err());
-        t.insert(21, 30).unwrap();
-        t.insert(0, 9).unwrap();
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
     fn below_walks_down() {
         let mut t = RangeSet::new();
-        t.insert(10, 19).unwrap();
-        t.insert(40, 49).unwrap();
-        t.insert(70, 79).unwrap();
+        t.insert_free(10, 19);
+        t.insert_free(40, 49);
+        t.insert_free(70, 79);
         assert_eq!(t.below(70).next(), Some((40, 49)));
         assert_eq!(t.below(40).next(), Some((10, 19)));
         assert_eq!(t.below(10).next(), None);
@@ -209,9 +177,59 @@ mod tests {
     #[test]
     fn remove_is_exact() {
         let mut t = RangeSet::new();
-        t.insert(5, 9).unwrap();
+        t.insert_free(5, 9);
         assert!(!t.remove(6));
         assert!(t.remove(5));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn rbtree_invariants_under_random_ops() {
+        for case in 0..64u64 {
+            let mut rng = SimRng::seed(0x4EAF + case);
+            let mut t = RangeSet::new();
+            let mut inserted: Vec<u64> = Vec::new();
+            let n = rng.range(1, 200);
+            for _ in 0..n {
+                let lo = rng.range(0, 10_000);
+                let hi = lo + rng.range(1, 64) - 1;
+                if try_insert(&mut t, lo, hi) {
+                    inserted.push(lo);
+                }
+                if rng.chance(0.5) && !inserted.is_empty() {
+                    let victim = inserted.swap_remove(rng.index(inserted.len()));
+                    assert!(t.remove(victim));
+                }
+                t.check_invariants().unwrap();
+            }
+            // In-order traversal must be sorted and disjoint.
+            let ranges: Vec<(u64, u64)> = t.iter().collect();
+            for w in ranges.windows(2) {
+                assert!(w[0].1 < w[1].0, "overlap or disorder: {w:?}");
+            }
+            assert_eq!(ranges.len(), inserted.len());
+        }
+    }
+
+    #[test]
+    fn range_set_lookups_after_sequential_inserts() {
+        // Sequential inserts are the classic worst case for naive search
+        // trees; every lookup must still find its range after them.
+        let mut rng = SimRng::seed(0x5EAF);
+        for _ in 0..16 {
+            let n = rng.range(1, 800);
+            let mut t = RangeSet::new();
+            for i in 0..n {
+                assert!(try_insert(&mut t, i * 2, i * 2));
+            }
+            t.check_invariants().unwrap();
+            for i in 0..n {
+                // Highest range below each gap and below each range's start.
+                assert_eq!(t.below(i * 2 + 1).next(), Some((i * 2, i * 2)));
+                let prev = i.checked_sub(1).map(|p| (p * 2, p * 2));
+                assert_eq!(t.below(i * 2).next(), prev);
+            }
+            assert_eq!(t.iter().count() as u64, n);
+        }
     }
 }

@@ -92,26 +92,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Rewinds to the freshly-constructed state (all frames free, counters
-    /// zeroed) while keeping the bitmap and recycle-stack storage allocated —
-    /// the arena-reuse hook for back-to-back simulation runs.
-    pub fn reset(&mut self, frames: usize) {
-        let words = (frames + 1).div_ceil(64);
-        // Only frames below the watermark were ever set, so only the words
-        // holding them need zeroing; the words above stay untouched (and,
-        // for a fresh bitmap, never become resident).
-        let dirty = self.dirty_words().min(words);
-        self.bitmap[..dirty].fill(0);
-        self.bitmap.resize(words, 0);
-        self.recycled.clear();
-        self.next_pfn = 1;
-        self.in_use = 0;
-        self.total = frames;
-        self.peak_allocated = 0;
-        self.alloc_count = 0;
-        self.free_count = 0;
-    }
-
     #[inline]
     fn bit_set(&mut self, pfn: u64) {
         self.bitmap[(pfn / 64) as usize] |= 1u64 << (pfn % 64);
@@ -370,24 +350,6 @@ mod tests {
         assert_eq!(back.bitmap, fa.bitmap);
         assert_eq!(back.recycled, fa.recycled);
         assert_eq!((back.next_pfn, back.in_use), (fa.next_pfn, fa.in_use));
-    }
-
-    #[test]
-    fn reset_matches_a_fresh_allocator() {
-        let mut fa = FrameAllocator::new(300);
-        for _ in 0..130 {
-            fa.alloc().unwrap();
-        }
-        for frames in [300, 40, 1000] {
-            fa.reset(frames);
-            let fresh = FrameAllocator::new(frames);
-            assert_eq!(fa.bitmap, fresh.bitmap, "{frames} frames");
-            assert_eq!(fa.available(), fresh.available());
-            let a = fa.alloc().unwrap();
-            assert_eq!(a, fresh.clone().alloc().unwrap());
-            fa.free(a).unwrap();
-            fa.reset(frames);
-        }
     }
 
     #[test]

@@ -179,14 +179,6 @@ impl RxRing {
             .expect("popping a descriptor the NIC is still filling")
     }
 
-    /// Pops the head descriptor regardless of consumption state. This is
-    /// the end-of-run teardown hook: once the simulation clock stops, the
-    /// modelled NIC writes nothing further, so still-posted descriptors can
-    /// be handed back for page-storage recycling.
-    pub fn pop_any(&mut self) -> Option<Descriptor> {
-        self.descriptors.pop_front()
-    }
-
     /// Serializes the ring (configuration plus descriptors front-to-back)
     /// for checkpointing.
     pub fn snap(&self, w: &mut fns_snap::SnapWriter) {

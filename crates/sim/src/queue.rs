@@ -282,18 +282,6 @@ impl<E> Wheel<E> {
         let s = self.occupied[0].trailing_zeros() as u64;
         Some((self.base[0] << SLOT_BITS) | s)
     }
-
-    fn reset(&mut self) {
-        self.nodes.clear();
-        self.free = NIL;
-        self.head = [[NIL; SLOTS]; LEVELS];
-        self.tail = [[NIL; SLOTS]; LEVELS];
-        self.occupied = [0; LEVELS];
-        self.base = [0; LEVELS];
-        self.spill.clear();
-        self.len = 0;
-        self.grew = 0;
-    }
 }
 
 /// A deterministic discrete-event queue.
@@ -442,15 +430,6 @@ impl<E> EventQueue<E> {
         self.popped = popped;
         self.seq = seq;
     }
-
-    /// Rewinds the queue to an empty, time-zero state while keeping its
-    /// node slab allocated — the arena-reuse hook.
-    pub fn reset(&mut self) {
-        self.wheel.reset();
-        self.seq = 0;
-        self.now = 0;
-        self.popped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -593,28 +572,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(q.pop(), Some((far, i)));
         }
-    }
-
-    #[test]
-    fn reset_rewinds_clock_and_keeps_capacity() {
-        let mut q = EventQueue::with_capacity(128);
-        let cap = q.capacity();
-        for i in 0..100u64 {
-            q.push(i * 3, i);
-        }
-        for _ in 0..50 {
-            q.pop();
-        }
-        q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), 0);
-        assert_eq!(q.total_popped(), 0);
-        assert_eq!(q.capacity(), cap);
-        // A reset queue behaves like a fresh one, including FIFO ties.
-        q.push(4, 1000);
-        q.push(4, 1001);
-        assert_eq!(q.pop(), Some((4, 1000)));
-        assert_eq!(q.pop(), Some((4, 1001)));
     }
 
     #[test]

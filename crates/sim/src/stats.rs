@@ -207,35 +207,43 @@ pub struct ReuseDistance {
     // It is `last_pos`'s keys sorted by position, so restore rebuilds it
     // from the map.
     stack: Vec<u64>,
-    last_pos: HashMap<u64, usize, BuildHasherDefault<Mul64Hasher>>,
+    last_pos: U64Map<usize>,
     distances: Vec<Option<u64>>,
     n_accesses: usize,
 }
 
-/// Multiply-shift hasher for the u64 page keys in `last_pos`. The tracker
-/// runs on every recorded page map, and the default SipHash is the single
-/// costliest part of that path; Fibonacci multiplication mixes 64-bit keys
-/// more than well enough for a position map nobody iterates. Only the
-/// lookup/insert behaviour of the map is observable, so the swap cannot
-/// change any recorded distance.
+/// Multiply-rotate hasher for maps keyed by `u64` page or frame numbers:
+/// the reuse tracker's position map, the driver's chunk map and the
+/// provenance tables. They are hit on every recorded map, carve or
+/// release, where SipHash's per-lookup cost is measurable. A Fibonacci
+/// multiply mixes the key into the high bits and the rotate brings them
+/// down to the low bits the map takes its bucket index from, so
+/// 64-aligned chunk pfns still spread. There is no per-process seed, and
+/// every map it backs is sorted before it is written or dumped, so runs
+/// replay bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mul64Hasher(u64);
 
 impl Hasher for Mul64Hasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
+    #[inline]
     fn finish(&self) -> u64 {
-        // The multiply pushes entropy toward the high bits; hashbrown takes
-        // its bucket index from the top, so no extra finalizer is needed.
         self.0
     }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(23);
+    }
 }
+
+/// A map keyed by `u64` under [`Mul64Hasher`].
+pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<Mul64Hasher>>;
 
 impl ReuseDistance {
     /// Creates an empty tracker.
@@ -265,15 +273,6 @@ impl ReuseDistance {
         };
         self.distances.push(dist);
         dist
-    }
-
-    /// Forgets every recorded access while keeping the stack, distance and
-    /// position-map storage — the arena hook for back-to-back runs.
-    pub fn reset(&mut self) {
-        self.stack.clear();
-        self.last_pos.clear();
-        self.distances.clear();
-        self.n_accesses = 0;
     }
 
     /// All recorded distances, in access order.
@@ -312,14 +311,7 @@ impl ReuseDistance {
 
     /// Rebuilds a tracker captured by [`ReuseDistance::snap`].
     pub fn unsnap(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Self::unsnap_in(r, Self::default())
-    }
-
-    /// Like [`ReuseDistance::unsnap`], rebuilding in `rd`'s allocations
-    /// (its recorded accesses are discarded), so a restored trace grows
-    /// without reallocating as far as `rd` once did.
-    pub fn unsnap_in(r: &mut SnapReader, mut rd: Self) -> Result<Self, SnapError> {
-        rd.reset();
+        let mut rd = Self::default();
         let n = r.seq()?;
         let mut pairs = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {

@@ -35,10 +35,9 @@
 //!
 //! [`Violation`]: https://docs.rs/ — `fns_oracle::Violation.pfn == iova.pfn()`
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
+use fns_sim::stats::U64Map;
 use fns_snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::Nanos;
@@ -49,30 +48,6 @@ pub const DEFAULT_PROV_PAGES: u32 = 4096;
 
 /// Default per-page event-ring capacity.
 pub const DEFAULT_PROV_EVENTS: u32 = 32;
-
-/// Deterministic multiply-rotate hasher for pfn keys (no per-process
-/// seed: provenance iteration and capacity decisions must replay
-/// identically).
-#[derive(Default, Clone, Copy)]
-struct ProvHasher(u64);
-
-impl Hasher for ProvHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(23);
-    }
-}
 
 /// What happened to a page at one point in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,8 +307,8 @@ impl PageTimeline {
     }
 }
 
-type PfnTable = HashMap<u64, PageRing, BuildHasherDefault<ProvHasher>>;
-type PinnedTable = HashMap<u64, Vec<PageEvent>, BuildHasherDefault<ProvHasher>>;
+type PfnTable = U64Map<PageRing>;
+type PinnedTable = U64Map<Vec<PageEvent>>;
 
 /// One journal entry: the page an event happened to, plus the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
