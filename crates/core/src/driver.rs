@@ -541,8 +541,9 @@ impl DmaDriver {
         self.pending_wipe_reqs.drain(..n);
     }
 
-    /// Retires up to `max` queued PTcache wipe epochs (called by the
-    /// datapath between translations).
+    /// Retires up to `max` queued PTcache wipe epochs. Device accesses
+    /// drain through [`DmaDriver::dma_access`]; direct callers are the
+    /// watchdog's relief drain and tests.
     pub fn drain_ptcache_wipes(&mut self, max: usize) {
         let drained = max.min(self.pending_wipe_epochs.len()) as u32;
         for _ in 0..drained {
@@ -1056,13 +1057,19 @@ impl DmaDriver {
         let id = self.next_desc_id;
         self.next_desc_id += 1;
         let n = self.rx_desc_pages;
+        if !self.rx_maps_whole(n) {
+            // Pinned pools, IOMMU-off, per-page IOVAs and descriptors
+            // carved from chunks spanning descriptors (§3): the Tx path.
+            let (pages, cpu) = self.map_pages(d, core, n as u32, false)?;
+            return Ok((Descriptor::new(id, pages), cpu));
+        }
         let mut pages = self.take_page_vec(n as usize);
+        let before = self.alloc.stats();
         if self.mode.huge_rx() {
             assert_eq!(
                 n, HUGE_PAGES,
                 "FnsHugeStrict needs 512-page (2 MB) descriptors"
             );
-            let before = self.alloc.stats();
             let chunk = self.alloc_iova(HUGE_PAGES, core)?;
             let base_pfn = self.huge_frames[d as usize].pop().unwrap_or_else(|| {
                 let b = self.next_pinned_pfn;
@@ -1086,138 +1093,75 @@ impl DmaDriver {
                 });
             }
             // One huge map per 512 pages: far cheaper than 512 4 KB maps.
-            let alloc_cost = self.alloc_cost_since(before);
-            let cpu = self.costs.map_ns + alloc_cost;
-            self.spans.charge(Span::Map, self.costs.map_ns);
-            self.spans.charge(Span::Alloc, alloc_cost);
-            self.tap
-                .emit(DmaEvent::Trace(TraceData::Map { pages: n as u32 }));
+            let cpu = self.charge_map(1, n, before);
             return Ok((Descriptor::new(id, pages), cpu));
         }
-        if self.mode.is_pinned_pool() {
-            self.recycle_pages(pages);
-            let slots = self.take_pinned(d, core, n as usize)?;
-            for s in &slots {
-                self.record_locality(s.iova);
-            }
-            // Recycling bookkeeping only: no map, no allocation fast path.
-            let cpu = n * self.costs.alloc_cache_ns / 2;
-            self.spans.charge(Span::Alloc, cpu);
-            return Ok((Descriptor::new(id, slots), cpu));
-        }
-        if self.mode == ProtectionMode::IommuOff {
-            for _ in 0..n {
-                let pa = match self.alloc_frame_in(d) {
-                    Ok(pa) => pa,
-                    Err(e) => {
-                        for p in std::mem::take(&mut pages) {
-                            self.free_frame_in(d, p.pa)
-                                .expect("unwinding a fresh frame");
-                        }
-                        return Err(e);
+        // A whole contiguous chunk per descriptor (Figure 4).
+        let chunk = self.alloc_iova(n, core)?;
+        for i in 0..n {
+            let pa = match self.alloc_frame_in(d) {
+                Ok(pa) => pa,
+                Err(e) => {
+                    // The chunk was allocated whole (not carved), so undo
+                    // the page mappings and return it whole.
+                    let mut reclaimed = Vec::new();
+                    for p in std::mem::take(&mut pages) {
+                        let r1 = IovaRange::new(p.iova, 1);
+                        let out = self
+                            .iommu
+                            .unmap_range_in(d, r1)
+                            .expect("unwinding a just-mapped page");
+                        self.tap.emit(DmaEvent::Unwound(d, r1, &out.reclaimed));
+                        reclaimed.extend(out.reclaimed);
+                        self.free_frame_in(d, p.pa)
+                            .expect("unwinding a fresh frame");
                     }
-                };
-                // Device uses physical addresses directly; the IOVA field is
-                // an identity placeholder that is never translated.
-                pages.push(DescriptorPage {
-                    iova: Iova::from_pfn(pa.pfn()),
-                    pa,
-                });
-            }
-            return Ok((Descriptor::new(id, pages), 0));
-        }
-        let before = self.alloc.stats();
-        let mut cpu = 0;
-        if self.mode.contiguous_iova() {
-            if n >= TX_CHUNK_PAGES {
-                let chunk = self.alloc_iova(n, core)?;
-                for i in 0..n {
-                    let pa = match self.alloc_frame_in(d) {
-                        Ok(pa) => pa,
-                        Err(e) => {
-                            // The chunk was allocated whole (not carved), so
-                            // undo the page mappings and return it whole.
-                            let mut reclaimed = Vec::new();
-                            for p in std::mem::take(&mut pages) {
-                                let r1 = IovaRange::new(p.iova, 1);
-                                let out = self
-                                    .iommu
-                                    .unmap_range_in(d, r1)
-                                    .expect("unwinding a just-mapped page");
-                                self.tap.emit(DmaEvent::Unwound(d, r1, &out.reclaimed));
-                                reclaimed.extend(out.reclaimed);
-                                self.free_frame_in(d, p.pa)
-                                    .expect("unwinding a fresh frame");
-                            }
-                            self.iommu.invalidate_for_reclaimed_in(d, &reclaimed);
-                            self.tap.emit(DmaEvent::UnwindFixup(d, &reclaimed));
-                            self.tap.emit(DmaEvent::Free(chunk));
-                            self.alloc.free(chunk, core);
-                            return Err(e);
-                        }
-                    };
-                    let iova = chunk.page(i);
-                    self.iommu.map_in(d, iova, pa)?;
-                    self.tap.emit(DmaEvent::Map { d, iova, pa });
-                    self.record_locality(iova);
-                    pages.push(DescriptorPage { iova, pa });
+                    self.iommu.invalidate_for_reclaimed_in(d, &reclaimed);
+                    self.tap.emit(DmaEvent::UnwindFixup(d, &reclaimed));
+                    self.tap.emit(DmaEvent::Free(chunk));
+                    self.alloc.free(chunk, core);
+                    return Err(e);
                 }
-            } else {
-                // Small descriptors: carve contiguous pages from a chunk
-                // spanning descriptors, exactly like the Tx datapath (§3).
-                for _ in 0..n {
-                    let pa = match self.alloc_frame_in(d) {
-                        Ok(pa) => pa,
-                        Err(e) => {
-                            self.unwind_pages(d, core, &pages);
-                            return Err(e);
-                        }
-                    };
-                    let iova = match self.carve_page(d, core, false) {
-                        Ok(iova) => iova,
-                        Err(e) => {
-                            self.free_frame_in(d, pa).expect("unwinding a fresh frame");
-                            self.unwind_pages(d, core, &pages);
-                            return Err(e);
-                        }
-                    };
-                    self.iommu.map_in(d, iova, pa)?;
-                    self.tap.emit(DmaEvent::Map { d, iova, pa });
-                    self.record_locality(iova);
-                    pages.push(DescriptorPage { iova, pa });
-                }
-            }
-        } else {
-            for _ in 0..n {
-                let pa = match self.alloc_frame_in(d) {
-                    Ok(pa) => pa,
-                    Err(e) => {
-                        self.unwind_pages(d, core, &pages);
-                        return Err(e);
-                    }
-                };
-                let r = match self.alloc_iova(1, core) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.free_frame_in(d, pa).expect("unwinding a fresh frame");
-                        self.unwind_pages(d, core, &pages);
-                        return Err(e);
-                    }
-                };
-                let iova = r.base();
-                self.iommu.map_in(d, iova, pa)?;
-                self.tap.emit(DmaEvent::Map { d, iova, pa });
-                self.record_locality(iova);
-                pages.push(DescriptorPage { iova, pa });
-            }
+            };
+            let iova = chunk.page(i);
+            self.iommu.map_in(d, iova, pa)?;
+            self.tap.emit(DmaEvent::Map { d, iova, pa });
+            self.record_locality(iova);
+            pages.push(DescriptorPage { iova, pa });
         }
-        let alloc_cost = self.alloc_cost_since(before);
-        cpu += n * self.costs.map_ns + alloc_cost;
-        self.spans.charge(Span::Map, n * self.costs.map_ns);
-        self.spans.charge(Span::Alloc, alloc_cost);
-        self.tap
-            .emit(DmaEvent::Trace(TraceData::Map { pages: n as u32 }));
+        let cpu = self.charge_map(n, n, before);
         Ok((Descriptor::new(id, pages), cpu))
+    }
+
+    /// Whether an Rx descriptor of `pages` pages is mapped as one unit — a
+    /// 2 MB page or a whole contiguous chunk, each with its own map and
+    /// unmap code — rather than page by page through `map_pages`.
+    fn rx_maps_whole(&self, pages: u64) -> bool {
+        self.mode.huge_rx() || (self.mode.contiguous_iova() && pages >= TX_CHUNK_PAGES)
+    }
+
+    /// Charges a finished map operation: `maps` page-table map calls
+    /// covering `pages` pages, plus the allocator work since `before`.
+    /// Returns the CPU time.
+    fn charge_map(&mut self, maps: u64, pages: u64, before: AllocStats) -> Nanos {
+        let alloc_cost = self.alloc_cost_since(before);
+        self.spans.charge(Span::Map, maps * self.costs.map_ns);
+        self.spans.charge(Span::Alloc, alloc_cost);
+        self.tap.emit(DmaEvent::Trace(TraceData::Map {
+            pages: pages as u32,
+        }));
+        maps * self.costs.map_ns + alloc_cost
+    }
+
+    /// Charges a finished unmap operation's allocator work since `before`
+    /// to the completion span and traces its `pages`. Returns the CPU time.
+    fn charge_unmap(&mut self, pages: usize, before: AllocStats) -> Nanos {
+        let alloc_cost = self.alloc_cost_since(before);
+        self.spans.charge(Span::Completion, alloc_cost);
+        self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
+            pages: pages as u32,
+        }));
+        alloc_cost
     }
 
     /// Completes a fully consumed Rx descriptor: unmap, invalidate, release
@@ -1266,15 +1210,26 @@ impl DmaDriver {
         core: usize,
         desc: &Descriptor,
     ) -> Result<Nanos, DmaError> {
+        // Rx invalidations wipe leaf-level PTcache entries only.
+        let scope = if self.mode.preserves_ptcache() {
+            InvalidationScope::IotlbOnly
+        } else {
+            InvalidationScope::IotlbAndLeafPtcache
+        };
+        if !self.rx_maps_whole(desc.len() as u64) {
+            // Stock Linux unmaps page at a time, one queue entry each
+            // (Figure 6a); carved descriptors unmap at descriptor
+            // granularity through the same path as Tx (§3).
+            return self.complete_pages(d, core, desc.pages(), scope);
+        }
+        let before = self.alloc.stats();
+        let range = IovaRange::new(desc.pages()[0].iova, desc.len() as u64);
+        let mut cpu = self.costs.unmap_ns;
         if self.mode.huge_rx() {
             // Strict teardown as one unit: clear the huge leaf, invalidate
             // the (single) huge IOTLB entry, release IOVA + frames.
-            let before = self.alloc.stats();
-            let base = desc.pages()[0].iova;
-            self.iommu.unmap_huge_in(d, base)?;
-            let range = IovaRange::new(base, desc.len() as u64);
+            self.iommu.unmap_huge_in(d, range.base())?;
             self.tap.emit(DmaEvent::Unmap(d, range, &[]));
-            let mut cpu = self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
             cpu += self.submit_invalidations(
                 &[InvalidationRequest {
@@ -1287,49 +1242,11 @@ impl DmaDriver {
             self.huge_frames[d as usize].push(desc.pages()[0].pa.pfn());
             self.alloc.try_free(range, core)?;
             self.tap.emit(DmaEvent::Free(range));
-            let alloc_cost = self.alloc_cost_since(before);
-            cpu += alloc_cost;
-            self.spans.charge(Span::Completion, alloc_cost);
-            self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
-                pages: desc.len() as u32,
-            }));
-            return Ok(cpu);
-        }
-        if self.mode.is_pinned_pool() {
-            // No unmap, no invalidation: the device keeps access (this is
-            // exactly the weaker safety property of these schemes).
-            self.pinned_free[d as usize].extend(desc.pages().iter().copied());
-            let cpu = desc.len() as Nanos * self.costs.alloc_cache_ns / 2;
-            self.spans.charge(Span::Completion, cpu);
-            return Ok(cpu);
-        }
-        if self.mode == ProtectionMode::IommuOff {
-            for p in desc.pages() {
-                self.free_frame_in(d, p.pa)?;
-            }
-            return Ok(0);
-        }
-        let scope = if self.mode.preserves_ptcache() {
-            InvalidationScope::IotlbOnly
         } else {
-            InvalidationScope::IotlbAndLeafPtcache
-        };
-        if self.mode.contiguous_iova() && (desc.len() as u64) < TX_CHUNK_PAGES {
-            // Small (e.g. single-page) descriptors carved from shared
-            // chunks: unmap at descriptor granularity through the common
-            // carved-buffer path (§3's generality case). Rx invalidations
-            // wipe leaf-level PTcache entries only.
-            return self.complete_pages(d, core, desc.pages(), scope);
-        }
-        let before = self.alloc.stats();
-        let mut cpu = 0;
-        if self.mode.contiguous_iova() {
             // One unmap op covering the whole 256 KB chunk + one ranged
             // invalidation-queue entry (Figure 6b).
-            let range = IovaRange::new(desc.pages()[0].iova, desc.len() as u64);
             let out = self.iommu.unmap_range_in(d, range)?;
             self.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
-            cpu += self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
             cpu += self.submit_invalidations(
                 &[InvalidationRequest {
@@ -1344,55 +1261,11 @@ impl DmaDriver {
             }
             self.alloc.try_free(range, core)?;
             self.tap.emit(DmaEvent::Free(range));
-        } else {
-            // Stock Linux: page-at-a-time unmap, one queue entry each
-            // (Figure 6a).
-            let mut reqs = std::mem::take(&mut self.req_scratch);
-            let mut reclaimed = std::mem::take(&mut self.reclaim_scratch);
             for p in desc.pages() {
-                let range = IovaRange::new(p.iova, 1);
-                let out = self.iommu.unmap_range_in(d, range)?;
-                self.tap.emit(DmaEvent::Unmap(d, range, &out.reclaimed));
-                reclaimed.extend(out.reclaimed);
-                cpu += self.costs.unmap_ns;
-                reqs.push(InvalidationRequest {
-                    range,
-                    scope,
-                    domain: d,
-                });
-                self.alloc.try_free(range, core)?;
-                self.tap.emit(DmaEvent::Free(range));
+                self.free_frame_in(d, p.pa)?;
             }
-            self.spans
-                .charge(Span::Unmap, desc.len() as Nanos * self.costs.unmap_ns);
-            if self.mode == ProtectionMode::LinuxDeferred {
-                self.deferred_pending += desc.len() as u32;
-                cpu += self.maybe_deferred_flush();
-            } else {
-                // Stock Linux: each page is its own dma_unmap call — one
-                // synchronization *and* one retirement epoch per page (the
-                // unmaps spread across the NAPI poll, interleaved with the
-                // NIC's ongoing walks).
-                cpu += self.submit_invalidations(&reqs, SyncGranularity::PerPage);
-                if self.mode.preserves_ptcache() {
-                    self.reclaim_fixup(d, &reclaimed);
-                }
-            }
-            reqs.clear();
-            reclaimed.clear();
-            self.req_scratch = reqs;
-            self.reclaim_scratch = reclaimed;
         }
-        for p in desc.pages() {
-            self.free_frame_in(d, p.pa)?;
-        }
-        let alloc_cost = self.alloc_cost_since(before);
-        cpu += alloc_cost;
-        self.spans.charge(Span::Completion, alloc_cost);
-        self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
-            pages: desc.len() as u32,
-        }));
-        Ok(cpu)
+        Ok(cpu + self.charge_unmap(desc.len(), before))
     }
 
     fn maybe_deferred_flush(&mut self) -> Nanos {
@@ -1437,7 +1310,7 @@ impl DmaDriver {
         core: usize,
         pages: u32,
     ) -> Result<(Vec<DescriptorPage>, Nanos), DmaError> {
-        let (out, cpu) = self.tx_map_inner(d, core, pages)?;
+        let (out, cpu) = self.map_pages(d, core, pages, true)?;
         if !matches!(self.sabotage, Sabotage::None) {
             if let Some(&first) = out.first() {
                 self.maybe_cross_domain_leak(d, first);
@@ -1446,25 +1319,32 @@ impl DmaDriver {
         Ok((out, cpu))
     }
 
-    fn tx_map_inner(
+    /// Maps `n` pages one at a time — a Tx packet (`is_tx`) or an Rx
+    /// descriptor that is neither huge nor a whole contiguous chunk.
+    /// Pinned pools hand out recycled slots, IOMMU-off hands out bare
+    /// frames, contiguous modes carve IOVAs from the core's chunk and
+    /// the rest allocate one IOVA per page. Failure is all-or-nothing.
+    fn map_pages(
         &mut self,
         d: u16,
         core: usize,
-        pages: u32,
+        n: u32,
+        is_tx: bool,
     ) -> Result<(Vec<DescriptorPage>, Nanos), DmaError> {
-        let mut out: Vec<DescriptorPage> = self.take_page_vec(pages as usize);
+        let mut out: Vec<DescriptorPage> = self.take_page_vec(n as usize);
         if self.mode.is_pinned_pool() {
             self.recycle_pages(out);
-            let slots = self.take_pinned(d, core, pages as usize)?;
+            let slots = self.take_pinned(d, core, n as usize)?;
             for s in &slots {
                 self.record_locality(s.iova);
             }
-            let cpu = pages as Nanos * self.costs.alloc_cache_ns / 2;
+            // Recycling bookkeeping only: no map, no allocation fast path.
+            let cpu = n as Nanos * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Alloc, cpu);
             return Ok((slots, cpu));
         }
         if self.mode == ProtectionMode::IommuOff {
-            for _ in 0..pages {
+            for _ in 0..n {
                 let pa = match self.alloc_frame_in(d) {
                     Ok(pa) => pa,
                     Err(e) => {
@@ -1475,6 +1355,8 @@ impl DmaDriver {
                         return Err(e);
                     }
                 };
+                // Device uses physical addresses directly; the IOVA field is
+                // an identity placeholder that is never translated.
                 out.push(DescriptorPage {
                     iova: Iova::from_pfn(pa.pfn()),
                     pa,
@@ -1483,8 +1365,7 @@ impl DmaDriver {
             return Ok((out, 0));
         }
         let before = self.alloc.stats();
-        let mut cpu = 0;
-        for _ in 0..pages {
+        for _ in 0..n {
             let pa = match self.alloc_frame_in(d) {
                 Ok(pa) => pa,
                 Err(e) => {
@@ -1493,7 +1374,7 @@ impl DmaDriver {
                 }
             };
             let iova = if self.mode.contiguous_iova() {
-                self.carve_page(d, core, true)
+                self.carve_page(d, core, is_tx)
             } else {
                 self.alloc_iova(1, core).map(|r| r.base())
             };
@@ -1510,12 +1391,7 @@ impl DmaDriver {
             self.record_locality(iova);
             out.push(DescriptorPage { iova, pa });
         }
-        let alloc_cost = self.alloc_cost_since(before);
-        cpu += pages as u64 * self.costs.map_ns + alloc_cost;
-        self.spans
-            .charge(Span::Map, pages as u64 * self.costs.map_ns);
-        self.spans.charge(Span::Alloc, alloc_cost);
-        self.tap.emit(DmaEvent::Trace(TraceData::Map { pages }));
+        let cpu = self.charge_map(n as u64, n as u64, before);
         Ok((out, cpu))
     }
 
@@ -1569,7 +1445,33 @@ impl DmaDriver {
         core: usize,
         pages: &[DescriptorPage],
     ) -> Result<Nanos, DmaError> {
+        // Tx-path invalidations are the ones the paper blames for wiping
+        // the shared PTcache-L1/L2 entries.
+        let scope = if self.mode.preserves_ptcache() {
+            InvalidationScope::IotlbOnly
+        } else {
+            InvalidationScope::IotlbAndFullPtcache
+        };
+        self.complete_pages(d, core, pages, scope)
+    }
+
+    /// The completion path for every buffer mapped by `map_pages`: Tx
+    /// packets and Rx descriptors that are neither huge nor a whole chunk.
+    /// Pinned pools return their slots and IOMMU-off frees its frames;
+    /// every other mode unmaps each page, coalesces contiguous
+    /// invalidation requests into one batch in contiguous-IOVA modes (one
+    /// request and synchronization per page otherwise), retires carving
+    /// chunks and releases frames and IOVAs.
+    fn complete_pages(
+        &mut self,
+        d: u16,
+        core: usize,
+        pages: &[DescriptorPage],
+        scope: InvalidationScope,
+    ) -> Result<Nanos, DmaError> {
         if self.mode.is_pinned_pool() {
+            // No unmap, no invalidation: the device keeps access (this is
+            // exactly the weaker safety property of these schemes).
             self.pinned_free[d as usize].extend(pages.iter().copied());
             let cpu = pages.len() as Nanos * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Completion, cpu);
@@ -1581,27 +1483,7 @@ impl DmaDriver {
             }
             return Ok(0);
         }
-        // Tx-path invalidations are the ones the paper blames for wiping
-        // the shared PTcache-L1/L2 entries.
-        let scope = if self.mode.preserves_ptcache() {
-            InvalidationScope::IotlbOnly
-        } else {
-            InvalidationScope::IotlbAndFullPtcache
-        };
-        self.complete_pages(d, core, pages, scope)
-    }
-
-    /// Common completion path for page-at-a-time-mapped buffers (Tx packets
-    /// and carved small Rx descriptors): unmap each page, coalesce
-    /// contiguous invalidation requests in batched modes, retire carving
-    /// chunks, release frames and IOVAs.
-    fn complete_pages(
-        &mut self,
-        d: u16,
-        core: usize,
-        pages: &[DescriptorPage],
-        scope: InvalidationScope,
-    ) -> Result<Nanos, DmaError> {
+        let batched = self.mode.contiguous_iova();
         let before = self.alloc.stats();
         let mut cpu = 0;
         let mut reqs = std::mem::take(&mut self.req_scratch);
@@ -1613,26 +1495,17 @@ impl DmaDriver {
             reclaimed.extend(out.reclaimed);
             cpu += self.costs.unmap_ns;
             self.spans.charge(Span::Unmap, self.costs.unmap_ns);
-            if self.mode.batched_invalidation() {
-                // Merge with the previous request when contiguous.
-                match reqs.last_mut() {
-                    Some(last)
-                        if last.range.pfn_hi() + 1 == range.pfn_lo() && last.scope == scope =>
-                    {
-                        last.range = IovaRange::new(last.range.base(), last.range.pages() + 1);
-                    }
-                    _ => reqs.push(InvalidationRequest {
-                        range,
-                        scope,
-                        domain: d,
-                    }),
+            match reqs.last_mut() {
+                // Batched modes merge with the previous request when
+                // contiguous.
+                Some(last) if batched && last.range.pfn_hi() + 1 == range.pfn_lo() => {
+                    last.range = IovaRange::new(last.range.base(), last.range.pages() + 1);
                 }
-            } else {
-                reqs.push(InvalidationRequest {
+                _ => reqs.push(InvalidationRequest {
                     range,
                     scope,
                     domain: d,
-                });
+                }),
             }
             // IOVA release: chunk modes retire whole chunks; page modes free
             // each page to this core's magazine.
@@ -1642,15 +1515,15 @@ impl DmaDriver {
         if self.mode == ProtectionMode::LinuxDeferred {
             self.deferred_pending += pages.len() as u32;
             cpu += self.maybe_deferred_flush();
-        } else if self.mode.batched_invalidation() {
-            cpu += self.submit_invalidations(&reqs, SyncGranularity::Batch);
-            if self.mode.preserves_ptcache() {
-                self.reclaim_fixup(d, &reclaimed);
-            }
         } else {
-            // Stock Linux: each transmitted packet's unmap is its own
-            // invalidation + synchronization (its own retirement epoch).
-            cpu += self.submit_invalidations(&reqs, SyncGranularity::PerPage);
+            // Stock Linux: each page's unmap is its own invalidation +
+            // synchronization (its own retirement epoch); F&S waits once.
+            let granularity = if batched {
+                SyncGranularity::Batch
+            } else {
+                SyncGranularity::PerPage
+            };
+            cpu += self.submit_invalidations(&reqs, granularity);
             if self.mode.preserves_ptcache() {
                 self.reclaim_fixup(d, &reclaimed);
             }
@@ -1659,13 +1532,7 @@ impl DmaDriver {
         reclaimed.clear();
         self.req_scratch = reqs;
         self.reclaim_scratch = reclaimed;
-        let alloc_cost = self.alloc_cost_since(before);
-        cpu += alloc_cost;
-        self.spans.charge(Span::Completion, alloc_cost);
-        self.tap.emit(DmaEvent::Trace(TraceData::Unmap {
-            pages: pages.len() as u32,
-        }));
-        Ok(cpu)
+        Ok(cpu + self.charge_unmap(pages.len(), before))
     }
 
     /// The preserve-mode synchronous PTcache fixup for reclaimed PT pages
@@ -1717,6 +1584,21 @@ impl DmaDriver {
         self.iommu
             .unmap_range_in(victim, IovaRange::new(page.iova, 1))
             .expect("tearing down the leaked PTE");
+    }
+
+    /// One device DMA over `iovas` from protection domain `d`, the
+    /// datapath's device-access contract: retire one queued PTcache wipe
+    /// epoch per page (wipes and walks interleave on real hardware, see
+    /// [`DmaDriver::drain_ptcache_wipes`]), then translate every page.
+    /// Returns the page-walk memory reads summed over the pages.
+    pub fn dma_access<I>(&mut self, d: u16, iovas: I) -> u32
+    where
+        I: IntoIterator<Item = Iova>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let iovas = iovas.into_iter();
+        self.drain_ptcache_wipes(iovas.len());
+        iovas.map(|iova| self.translate_in(d, iova)).sum()
     }
 
     /// Translates a device access; returns the number of page-walk memory
@@ -2177,23 +2059,60 @@ mod fault_tests {
 
     #[test]
     fn injected_frame_exhaustion_unwinds_mid_descriptor() {
-        for mode in [ProtectionMode::LinuxStrict, ProtectionMode::FastAndSafe] {
-            let mut drv = driver(mode);
-            // Fire on the 10th frame allocation: nine pages are already
-            // allocated + mapped when the descriptor fails.
-            let cfg = FaultConfig::disabled().with_every(FaultKind::FrameExhaustion, 10);
+        // Every mode whose Rx descriptors map page by page or as one whole
+        // chunk, at a whole-chunk size (64 pages) and a carved one (8). The
+        // pinned pools are left out: `take_pinned` keeps partial pool growth
+        // by design, so their frames need not balance after a failure.
+        // FnsHugeStrict is left out too: it needs 512-page descriptors.
+        use ProtectionMode::*;
+        let mut cases = Vec::new();
+        for mode in [
+            IommuOff,
+            LinuxStrict,
+            LinuxDeferred,
+            LinuxPreserve,
+            LinuxContig,
+            FastAndSafe,
+        ] {
+            // Fire on the 10th (5th) frame allocation: nine (four) pages
+            // are already allocated + mapped when the descriptor fails.
+            cases.push((mode, 64, FaultKind::FrameExhaustion, 10));
+            cases.push((mode, 8, FaultKind::FrameExhaustion, 5));
+        }
+        // Per-page IOVAs: the 3rd allocation fails with two pages mapped.
+        cases.push((LinuxStrict, 64, FaultKind::IovaExhaustion, 3));
+        for (mode, n, kind, every) in cases {
+            let case = format!("{mode}, {n} pages, {kind:?}");
+            let mut drv = DmaDriver::with_descriptor_pages(
+                mode,
+                2,
+                IommuConfig::default(),
+                CpuCosts::default(),
+                256,
+                10_000,
+                n,
+            );
+            let cfg = FaultConfig::disabled().with_every(kind, every);
             drv.set_fault_plane(FaultPlane::from_seed(cfg, 7, 0));
             let frames_before = drv.frames.in_use();
             let err = drv.prepare_rx_descriptor(0).unwrap_err();
-            assert!(matches!(err, DmaError::Frame(_)), "{mode}: {err}");
+            match kind {
+                FaultKind::FrameExhaustion => {
+                    assert!(matches!(err, DmaError::Frame(_)), "{case}: {err}")
+                }
+                _ => assert!(
+                    matches!(err, DmaError::Iova(AllocError::Injected)),
+                    "{case}: {err}"
+                ),
+            }
             // All-or-nothing: partially built state is fully unwound.
-            assert_eq!(drv.frames.in_use(), frames_before, "{mode}: leaked frames");
+            assert_eq!(drv.frames.in_use(), frames_before, "{case}: leaked frames");
             let pt = drv.iommu.page_table().stats();
-            assert_eq!(pt.maps, pt.unmaps, "{mode}: leaked mappings");
+            assert_eq!(pt.maps, pt.unmaps, "{case}: leaked mappings");
             // The datapath stays usable after recovery.
             drv.set_fault_plane(FaultPlane::disabled());
             let (mut d, _) = drv.prepare_rx_descriptor(0).unwrap();
-            assert_eq!(d.len(), 64);
+            assert_eq!(d.len() as u64, n, "{case}");
             consume_all(&mut d);
             drv.complete_rx_descriptor(0, &d).unwrap();
         }

@@ -65,7 +65,8 @@ impl ProtectionMode {
     }
 
     /// Whether IOVAs are allocated per descriptor (contiguous) rather than
-    /// per page.
+    /// per page — idea B, which also batches a buffer's invalidations into
+    /// ranged queue entries.
     pub fn contiguous_iova(self) -> bool {
         matches!(
             self,
@@ -80,16 +81,6 @@ impl ProtectionMode {
         matches!(
             self,
             ProtectionMode::LinuxPreserve
-                | ProtectionMode::FastAndSafe
-                | ProtectionMode::FnsHugeStrict
-        )
-    }
-
-    /// Whether invalidations are batched into ranged queue entries.
-    pub fn batched_invalidation(self) -> bool {
-        matches!(
-            self,
-            ProtectionMode::LinuxContig
                 | ProtectionMode::FastAndSafe
                 | ProtectionMode::FnsHugeStrict
         )
@@ -181,12 +172,11 @@ mod tests {
         assert!(LinuxStrict.iommu_enabled());
         assert!(FastAndSafe.contiguous_iova());
         assert!(FastAndSafe.preserves_ptcache());
-        assert!(FastAndSafe.batched_invalidation());
         assert!(LinuxPreserve.preserves_ptcache());
         assert!(!LinuxPreserve.contiguous_iova());
         assert!(LinuxContig.contiguous_iova());
         assert!(!LinuxContig.preserves_ptcache());
-        assert!(!LinuxStrict.batched_invalidation());
+        assert!(!LinuxStrict.contiguous_iova());
     }
 
     #[test]

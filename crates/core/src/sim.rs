@@ -561,7 +561,7 @@ impl Snapshot {
 /// run still builds its storage fresh; what the arena keeps is *aged
 /// states*. Allocator aging and ring churn are most of a run's
 /// construction, and they depend only on the few config fields in
-/// [`AgingKey`]: a figure sweep that varies flows, value sizes or windows
+/// `AgingKey`: a figure sweep that varies flows, value sizes or windows
 /// reaches the same post-churn state once per mode. The first run of a key
 /// snapshots the driver and the Rx rings after churn; later runs with an
 /// equal key restore that snapshot instead of aging again. The restored
@@ -600,7 +600,7 @@ impl Default for RunArena {
 }
 
 impl RunArena {
-    /// Creates an empty arena. The first run of each [`AgingKey`] ages the
+    /// Creates an empty arena. The first run of each `AgingKey` ages the
     /// allocator; later runs of that key restore its state.
     pub fn new() -> Self {
         Self::default()
@@ -840,7 +840,7 @@ impl HostSim {
     }
 
     /// Builds a simulation that restores its post-churn state from the
-    /// arena when the arena keeps one for its [`AgingKey`], and otherwise
+    /// arena when the arena keeps one for its `AgingKey`, and otherwise
     /// ages it and leaves the state in the arena. The result is
     /// behaviorally identical to [`HostSim::new`] — only repeated aging is
     /// saved, never state.
@@ -2172,16 +2172,12 @@ impl HostSim {
                 debug_assert_eq!(bytes, pkt.bytes as u64);
                 self.nic_rr = (nic + 1) % nnics;
                 let dom = self.ring_domain(ring);
-                // Retire pending PTcache wipes at page granularity — wipes
-                // and walks interleave on real hardware (see DmaDriver docs).
-                self.drv.drain_ptcache_wipes(self.scratch.rx_pages.len());
                 // Translate every touched page (one translation per
                 // PCIe-level page access; repeat touches hit the IOTLB),
                 // within the issuing device's protection domain.
-                let mut reads = 0u32;
-                for &iova in &self.scratch.rx_pages {
-                    reads += self.drv.translate_in(dom, iova);
-                }
+                let reads = self
+                    .drv
+                    .dma_access(dom, self.scratch.rx_pages.iter().copied());
                 self.scratch.rx_pages.clear();
                 let lm = self.walk_read_ns();
                 let l0 = (self.cfg.l0_rx_ns * pkt.bytes as u64)
@@ -2627,12 +2623,8 @@ impl HostSim {
             let Some((pkt, pages, core)) = picked else {
                 break;
             };
-            self.drv.drain_ptcache_wipes(pages.len());
             let dom = self.flow_domain(pkt.flow);
-            let mut reads = 0u32;
-            for p in &pages {
-                reads += self.drv.translate_in(dom, p.iova);
-            }
+            let reads = self.drv.dma_access(dom, pages.iter().map(|p| p.iova));
             let lm = self.walk_read_ns();
             self.note_mem_traffic(now, pkt.bytes as u64 + reads as u64 * 64);
             let service = reads as u64 * lm + self.cfg.l0_tx_ns;
@@ -2682,11 +2674,7 @@ impl HostSim {
             return;
         };
         let finish = self.cores[core].run(now, c);
-        self.drv.drain_ptcache_wipes(pg.len());
-        let mut reads = 0u32;
-        for p in &pg {
-            reads += self.drv.translate_in(dom, p.iova);
-        }
+        let reads = self.drv.dma_access(dom, pg.iter().map(|p| p.iova));
         let lm = self.walk_read_ns();
         let pages = pg.len() as u64;
         self.note_mem_traffic(now, pages * 4096 + reads as u64 * 64);

@@ -15,9 +15,11 @@
 //!   selector applied modulo the current live count, so removing an
 //!   earlier op never turns a later one into a no-op reference to a
 //!   vanished object — it just picks a different live object.
-//! * **Datapath drain contract.** Every op that translates drains the
-//!   pending PTcache-wipe queue first, exactly as `nic_pump`/`tx_pump`
-//!   do, so the model never flags queue latency the real datapath hides.
+//! * **Datapath drain contract.** Device DMA ops go through
+//!   [`DmaDriver::dma_access`], the call `nic_pump`, `tx_pump` and
+//!   `storage_issue` make: it drains one pending PTcache-wipe epoch per
+//!   page before translating, so the model never flags queue latency the
+//!   real datapath hides.
 //!
 //! Minimal reproducers serialize to a line-oriented text format and are
 //! checked into `tests/corpus/` together with the seeded driver bug
@@ -32,10 +34,16 @@ use fns_oracle::{AuditReport, Invariant};
 use fns_sim::rng::SimRng;
 
 /// Cap on concurrently live Rx descriptors / Tx packets in a replay.
-const LIVE_CAP: usize = 8;
+pub const LIVE_CAP: usize = 8;
 
 /// Cap on remembered completed-descriptor IOVAs for stale probes.
 const FREED_CAP: usize = 16;
+
+/// Largest Rx descriptor a corpus case may ask for, in pages: room for the
+/// 1024-page descriptors PT reclamation needs, while [`LIVE_CAP`] of them
+/// (plus as many 8-page Tx packets) stay far inside the replay driver's
+/// 16 GB frame pool.
+pub const MAX_DESC_PAGES: u64 = 4096;
 
 /// One primitive datapath operation.
 ///
@@ -180,25 +188,15 @@ pub fn replay(cfg: MbtConfig, ops: &[Op]) -> AuditReport {
             Op::DmaRx { sel } => {
                 if !live_rx.is_empty() {
                     let idx = sel as usize % live_rx.len();
-                    let d = live_rx[idx].0;
-                    let pages: Vec<fns_iova::Iova> =
-                        live_rx[idx].1.pages().iter().map(|p| p.iova).collect();
-                    // The datapath contract: queued PTcache wipes are
-                    // drained before the NIC touches memory.
-                    drv.drain_ptcache_wipes(pages.len());
-                    for iova in pages {
-                        drv.translate_in(d, iova);
-                    }
+                    let (d, desc) = &live_rx[idx];
+                    drv.dma_access(*d, desc.pages().iter().map(|p| p.iova));
                 }
             }
             Op::TxMap { pages } => {
                 if live_tx.len() < LIVE_CAP {
                     let n = u32::from(pages.clamp(1, 8));
                     let (mapped, _) = drv.tx_map_in(cur, 1, n).expect("fault-free replay: tx_map");
-                    drv.drain_ptcache_wipes(mapped.len());
-                    for p in &mapped {
-                        drv.translate_in(cur, p.iova);
-                    }
+                    drv.dma_access(cur, mapped.iter().map(|p| p.iova));
                     live_tx.push((cur, mapped));
                 }
             }
@@ -503,6 +501,18 @@ impl CorpusCase {
             }
         }
         let mode = mode.ok_or("missing 'mode:' header")?;
+        let desc_pages = desc_pages.unwrap_or(MbtConfig::for_mode(mode).desc_pages);
+        if desc_pages == 0 || desc_pages > MAX_DESC_PAGES {
+            return Err(format!(
+                "desc-pages {desc_pages} is outside 1..={MAX_DESC_PAGES}"
+            ));
+        }
+        if mode.huge_rx() && desc_pages != 512 {
+            return Err(format!(
+                "mode {} maps 512-page descriptors, not {desc_pages}",
+                mode.label()
+            ));
+        }
         let ops = parse_ops(&lines.collect::<Vec<_>>().join("\n"))?;
         if ops.is_empty() {
             return Err("corpus case has no ops".to_string());
@@ -510,7 +520,7 @@ impl CorpusCase {
         Ok(CorpusCase {
             cfg: MbtConfig {
                 mode,
-                desc_pages: desc_pages.unwrap_or(64),
+                desc_pages,
                 deferred_threshold: threshold.unwrap_or(256),
                 domains: domains.unwrap_or(1),
                 sabotage,

@@ -15,7 +15,7 @@
 //! A restore does not insert range by range. The allocator snapshot is
 //! the ascending range list, which the allocator's `unsnap` checks in one
 //! pass (each range non-inverted and starting above the previous one's
-//! end) before [`RangeSet::from_ascending`] bulk-builds the tree from it
+//! end) before `RangeSet::from_ascending` bulk-builds the tree from it
 //! in O(n). The bulk-built tree has fuller nodes than one grown by
 //! inserts, but it holds the same ranges, so every query answers the same.
 

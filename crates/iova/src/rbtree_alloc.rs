@@ -212,7 +212,7 @@ impl RbTreeAllocator {
     ///
     /// The range list must be ascending and disjoint, as `snap` writes it.
     /// One pass over it checks that each range is non-inverted and starts
-    /// above the previous one's end, then [`RangeSet::from_ascending`]
+    /// above the previous one's end, then `RangeSet::from_ascending`
     /// builds the tree in O(n). Ranges must also end below `limit_pfn`,
     /// which must lie within the IOVA space, and `search_start` must not
     /// exceed it, so a restored allocator only hands out valid IOVAs.

@@ -258,7 +258,7 @@ pub struct AuditReport {
     pub live_iova_ranges: u64,
     /// End-of-run gauges: shadow-IOTLB entries (4K + huge).
     pub shadow_iotlb: u64,
-    /// First [`SAMPLE_CAP`] violations, in detection order.
+    /// The first 64 violations (`SAMPLE_CAP`), in detection order.
     pub samples: Vec<Violation>,
 }
 

@@ -344,10 +344,9 @@ impl<E> EventQueue<E> {
         self.wheel.nodes.capacity()
     }
 
-    /// How many times event storage has grown since creation (or the last
-    /// [`EventQueue::reset`]). A queue sized with `with_capacity` above its
-    /// steady-state backlog reports zero — the warm-arena golden test
-    /// asserts exactly that.
+    /// How many times event storage has grown since creation. A queue
+    /// sized with `with_capacity` above its steady-state backlog reports
+    /// zero.
     pub fn reallocs(&self) -> u64 {
         self.wheel.grew
     }

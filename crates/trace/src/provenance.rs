@@ -6,7 +6,8 @@
 //! say *which* page missed its invalidation or *when* a translation hit a
 //! stale entry. The [`ProvenanceBook`] answers with bounded, deterministic
 //! per-page timelines of [`PageEvent`]s (keyed by IOVA pfn, the same
-//! coordinate the safety oracle anchors its [`Violation`]s on), so an
+//! coordinate the safety oracle anchors its violations on:
+//! `fns_oracle::Violation::pfn == iova.pfn()`), so an
 //! audit failure can be explained by replaying the page's own timeline
 //! instead of re-running the experiment under ddmin.
 //!
@@ -32,8 +33,6 @@
 //! itself (`tests/golden_determinism.rs` pins it).
 //!
 //! [`InvSkipped`]: PageEventKind::InvSkipped
-//!
-//! [`Violation`]: https://docs.rs/ — `fns_oracle::Violation.pfn == iova.pfn()`
 
 use std::fmt::Write as _;
 
@@ -342,7 +341,7 @@ impl ProvenanceBook {
     /// Creates a book tracking up to `max_pages` pages of `per_page`
     /// events each; `focus` (an IOVA pfn) is always admitted. The
     /// recording window is `max_pages × per_page` journal entries
-    /// (clamped to [`JOURNAL_MIN`]..=[`JOURNAL_MAX`]).
+    /// (clamped to 16..=65 536, `JOURNAL_MIN`..=`JOURNAL_MAX`).
     pub fn new(max_pages: u32, per_page: u32, focus: u64) -> Self {
         let per_page = per_page.max(1) as usize;
         let max_pages = max_pages.max(1) as usize;

@@ -13,7 +13,9 @@
 //!   false positive.
 
 use fns::core::Sabotage;
-use fns::harness::mbt::{generate, replay, shrink, violates, CorpusCase, MbtConfig};
+use fns::harness::mbt::{
+    generate, replay, shrink, violates, CorpusCase, MbtConfig, Op, LIVE_CAP, MAX_DESC_PAGES,
+};
 use fns::oracle::Invariant;
 
 const CORPUS: &[&str] = &[
@@ -26,11 +28,13 @@ const CORPUS: &[&str] = &[
     "skip_domain_scoped_inval.txt",
 ];
 
-fn load(file: &str) -> CorpusCase {
+fn read(file: &str) -> String {
     let path = format!("{}/tests/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing corpus file {path}: {e}"));
-    CorpusCase::parse(&text).unwrap_or_else(|e| panic!("malformed corpus file {path}: {e}"))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing corpus file {path}: {e}"))
+}
+
+fn load(file: &str) -> CorpusCase {
+    CorpusCase::parse(&read(file)).unwrap_or_else(|e| panic!("malformed corpus file {file}: {e}"))
 }
 
 #[test]
@@ -115,4 +119,50 @@ fn fresh_seeded_bug_is_caught_and_shrinks_to_at_most_20_ops() {
         "shrunk reproducer still has {} ops",
         small.len()
     );
+}
+
+/// A corpus file that parses must replay: every checked-in file, with its
+/// `desc-pages` header rewritten to a size the replay driver cannot build
+/// (none, a 2 MB mode's descriptor that is not 2 MB, more pages than the
+/// cap), is refused at parse time instead of panicking in `replay`.
+#[test]
+fn corpus_files_with_unreplayable_descriptor_sizes_are_refused() {
+    for file in CORPUS {
+        let text = read(file);
+        assert!(
+            text.contains("\ndesc-pages: "),
+            "{file}: no desc-pages header"
+        );
+        let huge = load(file).cfg.mode.huge_rx();
+        let mut sizes = vec![0, MAX_DESC_PAGES + 1, 100_000_000];
+        if huge {
+            sizes.push(64);
+        }
+        for pages in sizes {
+            let rewritten: String = text
+                .lines()
+                .map(|l| {
+                    if l.starts_with("desc-pages:") {
+                        format!("desc-pages: {pages}\n")
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            assert!(
+                CorpusCase::parse(&rewritten).is_err(),
+                "{file}: desc-pages {pages} parsed"
+            );
+        }
+    }
+    // The cap itself parses and replays: LIVE_CAP descriptors of the
+    // largest size fit the replay's frame pool.
+    let text = format!(
+        "mode: fast-and-safe\ndesc-pages: {MAX_DESC_PAGES}\nexpect: strict-safety\nops:\n{}",
+        "prepare-rx\n".repeat(LIVE_CAP + 1)
+    );
+    let case = CorpusCase::parse(&text).expect("the cap parses");
+    assert_eq!(case.ops.len(), LIVE_CAP + 1);
+    assert!(case.ops.iter().all(|op| *op == Op::PrepareRx));
+    assert!(replay(case.cfg, &case.ops).is_clean());
 }
