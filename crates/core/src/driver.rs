@@ -1060,7 +1060,7 @@ impl DmaDriver {
         if !self.rx_maps_whole(n) {
             // Pinned pools, IOMMU-off, per-page IOVAs and descriptors
             // carved from chunks spanning descriptors (§3): the Tx path.
-            let (pages, cpu) = self.map_pages(d, core, n as u32, false)?;
+            let (pages, cpu) = self.map_pages(d, core, n, false)?;
             return Ok((Descriptor::new(id, pages), cpu));
         }
         let mut pages = self.take_page_vec(n as usize);
@@ -1310,7 +1310,7 @@ impl DmaDriver {
         core: usize,
         pages: u32,
     ) -> Result<(Vec<DescriptorPage>, Nanos), DmaError> {
-        let (out, cpu) = self.map_pages(d, core, pages, true)?;
+        let (out, cpu) = self.map_pages(d, core, pages.into(), true)?;
         if !matches!(self.sabotage, Sabotage::None) {
             if let Some(&first) = out.first() {
                 self.maybe_cross_domain_leak(d, first);
@@ -1328,21 +1328,20 @@ impl DmaDriver {
         &mut self,
         d: u16,
         core: usize,
-        n: u32,
+        n: u64,
         is_tx: bool,
     ) -> Result<(Vec<DescriptorPage>, Nanos), DmaError> {
-        let mut out: Vec<DescriptorPage> = self.take_page_vec(n as usize);
         if self.mode.is_pinned_pool() {
-            self.recycle_pages(out);
             let slots = self.take_pinned(d, core, n as usize)?;
             for s in &slots {
                 self.record_locality(s.iova);
             }
             // Recycling bookkeeping only: no map, no allocation fast path.
-            let cpu = n as Nanos * self.costs.alloc_cache_ns / 2;
+            let cpu = n * self.costs.alloc_cache_ns / 2;
             self.spans.charge(Span::Alloc, cpu);
             return Ok((slots, cpu));
         }
+        let mut out = self.take_page_vec(n as usize);
         if self.mode == ProtectionMode::IommuOff {
             for _ in 0..n {
                 let pa = match self.alloc_frame_in(d) {
@@ -1391,7 +1390,7 @@ impl DmaDriver {
             self.record_locality(iova);
             out.push(DescriptorPage { iova, pa });
         }
-        let cpu = self.charge_map(n as u64, n as u64, before);
+        let cpu = self.charge_map(n, n, before);
         Ok((out, cpu))
     }
 

